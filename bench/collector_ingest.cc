@@ -1,6 +1,6 @@
 // Collector ingest microbenchmark: wire-encode cost, decode+ingest
 // throughput (records/sec) into the sharded aggregate store, per-record
-// aggregate memory, and sketch accuracy (log-bucket vs P²) against exact
+// aggregate memory, and log-bucket sketch accuracy against exact
 // recomputation — the numbers that bound how much crowd traffic one
 // collector process absorbs.
 //
@@ -124,19 +124,11 @@ int main(int argc, char** argv) {
     if (s.app != probe_app) {
       continue;
     }
-    mopcollect::AggregateKey key{server.apps().Find(probe_app), mopcollect::kAnyId,
-                                 mopcollect::kAnyId, mopcollect::kAnyByte,
-                                 static_cast<uint8_t>(mopcrowd::RecordKind::kTcp)};
-    const auto* entry = store.Find(key);
     double exact_p50 = probe_exact.Median();
     double exact_p95 = probe_exact.Percentile(95);
-    moputil::Table acc({"\"" + probe_app + "\" quantile", "exact", "log sketch", "P2 sketch"});
-    // A single collector's store is never merged, so the P² point estimates
-    // are queryable here (a fleet-merged view would get a typed error).
-    acc.AddRow({"median", mopbench::Ms(exact_p50), mopbench::Ms(s.median_ms),
-                entry != nullptr ? mopbench::Ms(entry->p2_median_ms().value()) : "-"});
-    acc.AddRow({"P95", mopbench::Ms(exact_p95), mopbench::Ms(s.p95_ms),
-                entry != nullptr ? mopbench::Ms(entry->p2_p95_ms().value()) : "-"});
+    moputil::Table acc({"\"" + probe_app + "\" quantile", "exact", "log sketch"});
+    acc.AddRow({"median", mopbench::Ms(exact_p50), mopbench::Ms(s.median_ms)});
+    acc.AddRow({"P95", mopbench::Ms(exact_p95), mopbench::Ms(s.p95_ms)});
     std::printf("%s\n", acc.Render().c_str());
     break;
   }

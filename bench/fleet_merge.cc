@@ -132,12 +132,6 @@ int main(int argc, char** argv) {
                 probe_app.c_str(), s.median_ms, exact_p50,
                 100.0 * std::fabs(s.median_ms - exact_p50) / exact_p50, s.p95_ms, exact_p95,
                 100.0 * std::fabs(s.p95_ms - exact_p95) / exact_p95);
-    auto key = view.MakeKey(probe_app, "", "", mopcollect::kAnyByte,
-                            static_cast<uint8_t>(mopcrowd::RecordKind::kTcp));
-    auto p2 = view.MergedP2Median(key);
-    std::printf("P² on the merged view: %s\n",
-                p2.ok() ? "ANSWERED (BUG: should refuse)"
-                        : moputil::StatusCodeName(p2.status().code()));
     break;
   }
   return round_trip_ok ? 0 : 1;

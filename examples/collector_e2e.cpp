@@ -232,7 +232,8 @@ int main(int argc, char** argv) {
     double err50 = std::fabs(s.median_ms - exact_p50) / exact_p50;
     double err95 = std::fabs(s.p95_ms - exact_p95) / exact_p95;
     double err = std::max(err50, err95);
-    // The 5% accuracy bar applies to apps with enough mass for P² to settle.
+    // The 5% accuracy bar applies to apps with at least 200 records; the
+    // rest are only shown.
     if (s.count >= 200) {
       ++verified_apps;
       worst_err = std::max(worst_err, err);

@@ -8,30 +8,6 @@
 
 namespace mopcollect {
 
-namespace {
-
-moputil::Status P2DoesNotMerge() {
-  return moputil::FailedPrecondition(
-      "P² sketches do not merge: this entry aggregates more than one "
-      "collector's stream; query the log-bucket quantiles instead");
-}
-
-}  // namespace
-
-moputil::Result<double> AggregateEntry::p2_median_ms() const {
-  if (merged) {
-    return P2DoesNotMerge();
-  }
-  return p50.Value();
-}
-
-moputil::Result<double> AggregateEntry::p2_p95_ms() const {
-  if (merged) {
-    return P2DoesNotMerge();
-  }
-  return p95.Value();
-}
-
 AggregateStore::AggregateStore(size_t shard_count)
     : shards_(shard_count == 0 ? 1 : shard_count) {}
 
@@ -67,7 +43,6 @@ void AggregateStore::MergeFrom(const AggregateStore& src,
     }
   }
   samples_folded_ += src.samples_folded_;
-  merged_ = true;
 }
 
 std::vector<std::pair<AggregateKey, const AggregateEntry*>> AggregateStore::Match(

@@ -1,18 +1,18 @@
 // Streaming aggregates over ingested crowd measurements.
 //
 // The collector never keeps the raw record stream in memory: each record
-// folds into per-key entries holding a count, Welford mean/variance, and P²
-// sketches for the median and P95 — O(1) memory per distinct key at millions
-// of records (the paper's 5.25M-record dataset collapses to a few thousand
+// folds into per-key entries holding a count, Welford mean/variance, and a
+// log-bucket quantile sketch — O(1) memory per distinct key at millions of
+// records (the paper's 5.25M-record dataset collapses to a few thousand
 // keys). Keys are (app, isp, country, net_type, kind) global-interner ids;
 // wildcard components give pre-folded rollups (per-app across networks for
-// Fig. 9, per-ISP DNS for Fig. 11 / Table 6) since P² sketches cannot be
-// merged after the fact.
+// Fig. 9, per-ISP DNS for Fig. 11 / Table 6), so those queries read one
+// entry per row instead of merging at query time.
 //
-// Entries are partitioned into hash shards. Within this repo everything runs
-// on one deterministic event loop, so shards need no locks; they exist so a
-// future multi-lane collector can pin one shard set per ingest lane without
-// reshaping the store.
+// Entries are partitioned into hash shards. Everything runs on one
+// deterministic event loop, so shards need no locks; a collector with
+// ingest lanes pins shard s to lane s % lanes (see ShardIndexOf), so lanes
+// never touch each other's maps.
 #ifndef MOPEYE_COLLECTOR_AGGREGATE_STORE_H_
 #define MOPEYE_COLLECTOR_AGGREGATE_STORE_H_
 
@@ -24,7 +24,6 @@
 
 #include "collector/wire.h"
 #include "util/stats.h"
-#include "util/status.h"
 
 namespace mopcollect {
 
@@ -63,48 +62,29 @@ struct AggregateKey {
 
 // Count + moments + streaming median/P95. No raw samples retained.
 //
-// Two quantile mechanisms fold side by side: the 5-marker P² sketches (40
-// bytes, the classic streaming estimator) and a log-bucket sketch. Queries
-// are served by the log buckets: upload batches arrive clustered by device,
-// and on such non-exchangeable streams P²'s marker adaptation drifts 10%+
-// on tail quantiles, while counting buckets are order-insensitive with a
-// guaranteed 2% relative error. The P² values stay queryable so the ingest
-// bench (and future tuning) can quantify that gap on live traffic.
+// The log-bucket sketch is order-insensitive with a guaranteed 2% relative
+// error, and merges exactly by bucket addition, so a fleet-merged entry
+// answers the same queries as a single collector's.
 struct AggregateEntry {
+  static constexpr double kRelErr = 0.02;
+
   moputil::OnlineStats stats;
-  moputil::P2Quantile p50{50.0};
-  moputil::P2Quantile p95{95.0};
-  moputil::LogQuantile quantiles{0.02};
-  // Set once another entry has been folded in. Count, moments, and the
-  // log-bucket quantiles merge exactly; the P² markers cannot, so on a
-  // merged entry they are stale for one source's stream only and the P²
-  // accessors refuse to answer.
-  bool merged = false;
+  moputil::LogQuantile quantiles{kRelErr};
 
   void Add(double rtt_ms) {
     stats.Add(rtt_ms);
-    p50.Add(rtt_ms);
-    p95.Add(rtt_ms);
     quantiles.Add(rtt_ms);
   }
 
-  // Folds `o` in: as if both entries' streams had been Add()ed here, for
-  // everything except the P² markers (see `merged`).
+  // Folds `o` in: as if both entries' streams had been Add()ed here.
   void MergeFrom(const AggregateEntry& o) {
     stats.MergeFrom(o.stats);
     quantiles.MergeFrom(o.quantiles);
-    merged = true;
   }
 
   size_t count() const { return stats.count(); }
   double median_ms() const { return quantiles.Median(); }
   double p95_ms() const { return quantiles.Quantile(95.0); }
-  // The P² point estimates of the same quantiles (see above). On a merged
-  // entry these return kFailedPrecondition instead of a silently-wrong
-  // value: P² sketches do not merge, so a fleet-level view only answers
-  // log-bucket quantiles.
-  moputil::Result<double> p2_median_ms() const;
-  moputil::Result<double> p2_p95_ms() const;
 };
 
 class AggregateStore {
@@ -124,15 +104,8 @@ class AggregateStore {
   // Folds every entry of `src` into this store, routing each key through
   // `remap` first (a fleet view remaps per-collector interner ids onto its
   // merged id spaces; pass identity to merge stores sharing interners).
-  // Marks the store — and every touched entry — merged: log-bucket
-  // quantiles stay exact under bucket addition, P² queries are refused.
   void MergeFrom(const AggregateStore& src,
                  const std::function<AggregateKey(const AggregateKey&)>& remap);
-
-  // True once MergeFrom folded foreign entries in (or a snapshot of a
-  // merged store was restored).
-  bool merged() const { return merged_; }
-  void set_merged(bool m) { merged_ = m; }
 
   // All (key, entry) pairs, shard by shard (iteration order is unspecified
   // within a shard). `pred` filters; null takes everything.
@@ -159,7 +132,6 @@ class AggregateStore {
 
   std::vector<Shard> shards_;
   uint64_t samples_folded_ = 0;
-  bool merged_ = false;
 };
 
 // ---- Query plane over a store + its interners ----

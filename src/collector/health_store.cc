@@ -25,7 +25,9 @@ void AppendDouble(std::string* out, double v) {
 
 // Rebuilds the exact log-bucket sketch from a crowd histogram metric.
 // Per-bucket counts are clamped at u32 (the sketch's cell width); a fleet
-// would need >4B observations in one bucket to see the clamp.
+// would need >4B observations in one bucket to see the clamp. The dense span
+// is bounded because the wire and snapshot decoders admit only indexes in
+// the geometry's LogQuantile::LegalIndexRange.
 moputil::LogQuantile RebuildSketch(const HealthStore::Metric& m) {
   moputil::LogQuantile::State st;
   st.zero_or_less = m.zero_or_less;

@@ -409,8 +409,8 @@ void CollectorServer::IngestBatch(const WireBatch& batch) {
     uint16_t country = rec.country_idx == kNoIndex ? kNoneId : country_map[rec.country_idx];
     double rtt = rec.rtt_ms;
 
-    // Fine-grained key plus the two wildcard rollups (P² sketches cannot be
-    // merged later, so the rollups fold in at ingest time).
+    // Fine-grained key plus the two wildcard rollups the per-app and per-ISP
+    // queries read, so a query reads one entry per row.
     const AggregateKey keys[3] = {{app, isp, country, rec.net_type, rec.kind},
                                   {app, kAnyId, kAnyId, kAnyByte, rec.kind},
                                   {kAnyId, isp, kAnyId, rec.net_type, rec.kind}};

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/stats.h"
 #include "util/strings.h"
 
 namespace mopcollect {
@@ -98,6 +99,14 @@ bool ByteReader::ReadString(size_t len, std::string* v) {
     return false;
   }
   v->assign(reinterpret_cast<const char*>(data_.data()) + pos_, len);
+  pos_ += len;
+  return true;
+}
+
+bool ByteReader::Skip(size_t len) {
+  if (remaining() < len) {
+    return false;
+  }
   pos_ += len;
   return true;
 }
@@ -377,7 +386,10 @@ moputil::Status DecodeHealthBody(std::span<const uint8_t> body, WireHealthEntry*
           !r.ReadU64(&e->zero_or_less) || !r.ReadU32(&bucket_count)) {
         return Truncated("health histogram");
       }
-      if (!(e->rel_err > 0.0 && e->rel_err < 1.0)) {
+      // Every index must lie in the span this geometry's input clamps allow:
+      // the collector later rebuilds dense sketches over the index span.
+      auto range = moputil::LogQuantile::LegalIndexRange(e->rel_err, kMaxHealthBuckets);
+      if (!range) {
         return moputil::InvalidArgument("health histogram: bad rel_err");
       }
       if (bucket_count > kMaxHealthBuckets) {
@@ -390,6 +402,9 @@ moputil::Status DecodeHealthBody(std::span<const uint8_t> body, WireHealthEntry*
         uint64_t count = 0;
         if (!r.ReadU32(&index) || !r.ReadU64(&count)) {
           return Truncated("health bucket");
+        }
+        if (!range->Contains(static_cast<int32_t>(index))) {
+          return moputil::InvalidArgument("health histogram: bucket index out of range");
         }
         e->buckets.emplace_back(static_cast<int32_t>(index), count);
       }

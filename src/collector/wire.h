@@ -89,6 +89,8 @@ class ByteReader {
   bool ReadF32(float* v);
   bool ReadF64(double* v);
   bool ReadString(size_t len, std::string* v);
+  // Advances past `len` bytes; false (nothing consumed) if fewer remain.
+  bool Skip(size_t len);
 
  private:
   std::span<const uint8_t> data_;

@@ -57,7 +57,7 @@ struct CostModels {
   // DNS message parse + UDP socket setup in the DNS thread.
   std::shared_ptr<moputil::DelayModel> dns_process;
   // Marginal cost of each additional packet in a batched (writev-style)
-  // tunnel write burst; only sampled when Config::write_batching is on.
+  // tunnel write burst; only sampled when Config::worker_lanes > 1.
   std::shared_ptr<moputil::DelayModel> tun_write_batch_extra;
   // Marginal cost of each additional packet in a batched (readv/recvmmsg
   // style) tunnel read burst; only sampled when Config::tun_read_batch > 1.
@@ -82,12 +82,6 @@ struct Config {
 
   enum class PutScheme { kOldPut, kNewPut };
   PutScheme put_scheme = PutScheme::kNewPut;
-  // Batched tunnel writes: the TunWriter drains its whole queue in one
-  // writev-style submission (one syscall-class cost plus a small marginal
-  // cost per extra packet) instead of one write() per packet. Off by
-  // default: the paper's tables model per-packet write(), and the checked-in
-  // experiment baselines depend on that cost stream.
-  bool write_batching = false;
   // Spin rounds before the writer gives up and wait()s (§3.5.1's counter
   // threshold). The window must outlast typical intra-burst packet gaps so
   // producers almost never find the writer parked.
@@ -118,9 +112,12 @@ struct Config {
   // byte-identical. With N > 1 the TunReader classifies each packet by
   // FlowKeyHash % N and enqueues it on the owning lane; each lane owns its
   // own selector, TCP-client table, DNS relay state, buffer pool, and
-  // measurement shard, so no flow state is ever shared across lanes. The
-  // scaled configuration also turns write_batching on (all lanes feed the
-  // single TunWriter, and per-packet write() would re-serialize them there).
+  // measurement shard, so no flow state is ever shared across lanes. With
+  // N > 1 the TunWriter also batches: it drains its whole queue in one
+  // writev-style submission (one syscall-class cost plus
+  // tun_write_batch_extra per extra packet), since all lanes feed it and
+  // per-packet write() would re-serialize them there. One lane keeps the
+  // paper's per-packet write(), which the checked-in baselines depend on.
   int worker_lanes = 1;
 
   // ---- Burst ingress + work stealing (thread model v3) ----

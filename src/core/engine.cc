@@ -64,11 +64,6 @@ MopEyeEngine::MopEyeEngine(mopdroid::AndroidDevice* device, Config config)
   MOP_CHECK(device != nullptr);
   MOP_CHECK(config_.worker_lanes >= 1) << "worker_lanes must be >= 1";
   MOP_CHECK(config_.tun_queues >= 1) << "tun_queues must be >= 1";
-  if (config_.worker_lanes > 1) {
-    // The scaled configuration: all lanes feed the single TunWriter, so
-    // batched drains are what keeps the shared fd from re-serializing them.
-    config_.write_batching = true;
-  }
   for (int i = 0; i < config_.worker_lanes; ++i) {
     // Lane 0 of a single-lane engine keeps the historical thread name.
     std::string name = config_.worker_lanes == 1 ? "MainWorker"

@@ -116,7 +116,7 @@ void TunWriter::Pump() {
     return;
   }
   state_ = WriterState::kProcessing;
-  if (config_->write_batching) {
+  if (config_->worker_lanes > 1) {
     // Writev-style burst: everything queued right now leaves in one
     // submission — one syscall-class cost for the first packet plus a small
     // marginal cost per extra iovec, and a single lane round-trip instead of

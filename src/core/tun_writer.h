@@ -15,6 +15,10 @@
 //    newPut (the paper's sleep counter: the writer spins a bounded number of
 //    check rounds before parking, so producers almost never pay a notify).
 //
+// With Config::worker_lanes > 1 every lane feeds this one writer, so it
+// drains its whole queue per writev-style submission instead of paying one
+// write() per packet; one lane keeps the paper's per-packet write().
+//
 // Producer overhead per packet is recorded — those samples ARE Table 1.
 #ifndef MOPEYE_CORE_TUN_WRITER_H_
 #define MOPEYE_CORE_TUN_WRITER_H_
@@ -53,7 +57,7 @@ class TunWriter {
   const moputil::Samples& producer_overhead_ms() const { return producer_overhead_ms_; }
   // Delay of each actual write() to the tunnel (the TunWriter thread's cost
   // under queueWrite; equal to the producer overhead under directWrite).
-  // With write_batching on, one sample covers a whole drained burst.
+  // With worker_lanes > 1 (batched drains), one sample covers a whole burst.
   const moputil::Samples& tunnel_write_ms() const { return tunnel_write_ms_; }
   size_t packets_written() const { return packets_written_; }
   // Write submissions issued (== packets_written unless batching coalesced

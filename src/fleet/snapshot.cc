@@ -47,45 +47,11 @@ moputil::Status Corrupt(const char* what) {
 
 // Smallest possible serialized entry; bounds entry_count before the loop so
 // a forged count cannot make the decoder reserve unbounded memory.
-constexpr size_t kMinEntryBytes = 8 + 1 + (8 + 4 * 8) + 2 * (8 + 15 * 8) + (8 + 8 + 4 + 4);
-
-void PutP2(std::vector<uint8_t>* out, const moputil::P2Quantile& q) {
-  auto s = q.state();
-  mopcollect::PutU64(out, s.count);
-  for (double v : s.heights) {
-    mopcollect::PutF64(out, v);
-  }
-  for (double v : s.positions) {
-    mopcollect::PutF64(out, v);
-  }
-  for (double v : s.desired) {
-    mopcollect::PutF64(out, v);
-  }
-}
-
-bool ReadP2(ByteReader* r, moputil::P2Quantile* q) {
-  moputil::P2Quantile::State s;
-  if (!r->ReadU64(&s.count)) {
-    return false;
-  }
-  for (double& v : s.heights) {
-    if (!r->ReadF64(&v)) {
-      return false;
-    }
-  }
-  for (double& v : s.positions) {
-    if (!r->ReadF64(&v)) {
-      return false;
-    }
-  }
-  for (double& v : s.desired) {
-    if (!r->ReadF64(&v)) {
-      return false;
-    }
-  }
-  q->Restore(s);
-  return true;
-}
+constexpr size_t kMinEntryBytes = 8 + (8 + 4 * 8) + (8 + 8 + 4 + 4);
+// What versions 1 and 2 add per entry: a merged flag byte and two P²
+// sketches of u64 count + 15 f64 markers each, which the decoder skips.
+constexpr size_t kLegacyP2Bytes = 2 * (8 + 15 * 8);
+constexpr size_t kMinLegacyEntryBytes = kMinEntryBytes + 1 + kLegacyP2Bytes;
 
 }  // namespace
 
@@ -115,7 +81,6 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   }
 
   mopcollect::PutU32(&payload, static_cast<uint32_t>(state.store.shard_count()));
-  mopcollect::PutU8(&payload, state.store.merged() ? 1 : 0);
   mopcollect::PutU64(&payload, state.store.samples_folded());
 
   auto entries = state.store.Match();
@@ -125,15 +90,12 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   mopcollect::PutU32(&payload, static_cast<uint32_t>(entries.size()));
   for (const auto& [key, entry] : entries) {
     mopcollect::PutU64(&payload, key.Packed());
-    mopcollect::PutU8(&payload, entry->merged ? 1 : 0);
     auto stats = entry->stats.state();
     mopcollect::PutU64(&payload, stats.count);
     mopcollect::PutF64(&payload, stats.mean);
     mopcollect::PutF64(&payload, stats.m2);
     mopcollect::PutF64(&payload, stats.min);
     mopcollect::PutF64(&payload, stats.max);
-    PutP2(&payload, entry->p50);
-    PutP2(&payload, entry->p95);
     auto log = entry->quantiles.state();
     mopcollect::PutU64(&payload, log.total);
     mopcollect::PutU64(&payload, log.zero_or_less);
@@ -144,76 +106,65 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
     }
   }
 
-  // ---- v2 sections: telemetry dedup, telemetry counters, crowd health ----
-  // A state with nothing to put in them encodes as a version-1 frame instead:
-  // bytes on disk stay identical to the pre-health format (telemetry off keeps
-  // every snapshot-size baseline byte-for-byte), and the v1 decode path runs
-  // on every default-config snapshot rather than only on archived files.
-  const bool needs_v2 = !state.seen_telemetry.empty() || state.telemetry_frames != 0 ||
-                        state.telemetry_duplicate != 0 || state.telemetry_rejected != 0 ||
-                        state.frames_skipped != 0 || state.health.metric_count() != 0 ||
-                        !state.health.devices().empty() || state.health.folds() != 0 ||
-                        state.health.conflicts() != 0;
-  if (needs_v2) {
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(state.seen_telemetry.size()));
-    for (const auto& [device, seqs] : state.seen_telemetry) {
-      mopcollect::PutU32(&payload, device);
-      mopcollect::PutU32(&payload, static_cast<uint32_t>(seqs.size()));
-      for (uint32_t seq : seqs) {
-        mopcollect::PutU32(&payload, seq);
-      }
+  // ---- Telemetry dedup, telemetry counters, crowd health ----
+  mopcollect::PutU32(&payload, static_cast<uint32_t>(state.seen_telemetry.size()));
+  for (const auto& [device, seqs] : state.seen_telemetry) {
+    mopcollect::PutU32(&payload, device);
+    mopcollect::PutU32(&payload, static_cast<uint32_t>(seqs.size()));
+    for (uint32_t seq : seqs) {
+      mopcollect::PutU32(&payload, seq);
     }
-    mopcollect::PutU64(&payload, state.telemetry_frames);
-    mopcollect::PutU64(&payload, state.telemetry_duplicate);
-    mopcollect::PutU64(&payload, state.telemetry_rejected);
-    mopcollect::PutU64(&payload, state.frames_skipped);
-
-    // HealthStore contents, name-sorted (SortedMetrics) and with std::map /
-    // std::set iteration orders inside each metric — canonical bytes for equal
-    // states, independent of shard count.
-    auto health_metrics = state.health.SortedMetrics();
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(health_metrics.size()));
-    for (const auto& [name, metric] : health_metrics) {
-      mopcollect::PutU16(&payload, static_cast<uint16_t>(name->size()));
-      payload.insert(payload.end(), name->begin(), name->end());
-      mopcollect::PutU8(&payload, metric->kind);
-      mopcollect::PutU8(&payload, metric->merge);
-      switch (metric->kind) {
-        case 0:
-          mopcollect::PutU64(&payload, metric->counter);
-          break;
-        case 1:
-          mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->gauges.size()));
-          for (const auto& [device, cell] : metric->gauges) {
-            mopcollect::PutU32(&payload, device);
-            mopcollect::PutU32(&payload, cell.seq);
-            mopcollect::PutU64(&payload, cell.value);
-          }
-          break;
-        default:
-          mopcollect::PutF64(&payload, metric->rel_err);
-          mopcollect::PutF64(&payload, metric->sum);
-          mopcollect::PutU64(&payload, metric->zero_or_less);
-          mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->buckets.size()));
-          for (const auto& [idx, count] : metric->buckets) {
-            mopcollect::PutU32(&payload, std::bit_cast<uint32_t>(idx));
-            mopcollect::PutU64(&payload, count);
-          }
-          break;
-      }
-    }
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(state.health.devices().size()));
-    for (uint32_t device : state.health.devices()) {
-      mopcollect::PutU32(&payload, device);
-    }
-    mopcollect::PutU64(&payload, state.health.folds());
-    mopcollect::PutU64(&payload, state.health.conflicts());
   }
+  mopcollect::PutU64(&payload, state.telemetry_frames);
+  mopcollect::PutU64(&payload, state.telemetry_duplicate);
+  mopcollect::PutU64(&payload, state.telemetry_rejected);
+  mopcollect::PutU64(&payload, state.frames_skipped);
+
+  // HealthStore contents, name-sorted (SortedMetrics) and with std::map /
+  // std::set iteration orders inside each metric — canonical bytes for equal
+  // states, independent of shard count.
+  auto health_metrics = state.health.SortedMetrics();
+  mopcollect::PutU32(&payload, static_cast<uint32_t>(health_metrics.size()));
+  for (const auto& [name, metric] : health_metrics) {
+    mopcollect::PutU16(&payload, static_cast<uint16_t>(name->size()));
+    payload.insert(payload.end(), name->begin(), name->end());
+    mopcollect::PutU8(&payload, metric->kind);
+    mopcollect::PutU8(&payload, metric->merge);
+    switch (metric->kind) {
+      case 0:
+        mopcollect::PutU64(&payload, metric->counter);
+        break;
+      case 1:
+        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->gauges.size()));
+        for (const auto& [device, cell] : metric->gauges) {
+          mopcollect::PutU32(&payload, device);
+          mopcollect::PutU32(&payload, cell.seq);
+          mopcollect::PutU64(&payload, cell.value);
+        }
+        break;
+      default:
+        mopcollect::PutF64(&payload, metric->rel_err);
+        mopcollect::PutF64(&payload, metric->sum);
+        mopcollect::PutU64(&payload, metric->zero_or_less);
+        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->buckets.size()));
+        for (const auto& [idx, count] : metric->buckets) {
+          mopcollect::PutU32(&payload, std::bit_cast<uint32_t>(idx));
+          mopcollect::PutU64(&payload, count);
+        }
+        break;
+    }
+  }
+  mopcollect::PutU32(&payload, static_cast<uint32_t>(state.health.devices().size()));
+  for (uint32_t device : state.health.devices()) {
+    mopcollect::PutU32(&payload, device);
+  }
+  mopcollect::PutU64(&payload, state.health.folds());
+  mopcollect::PutU64(&payload, state.health.conflicts());
 
   std::vector<uint8_t> out;
   out.reserve(11 + payload.size());
   mopcollect::PutU16(&out, kSnapshotMagic);
-  mopcollect::PutU8(&out, needs_v2 ? kSnapshotVersion : 1);
+  mopcollect::PutU8(&out, kSnapshotVersion);
   mopcollect::PutU32(&out, static_cast<uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   mopcollect::PutU32(&out, Crc32(payload));
@@ -304,12 +255,15 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     state.seen_batches.emplace_back(device, std::move(seqs));
   }
 
+  // Versions 1 and 2 carry the merged flags and P² markers described in
+  // snapshot.h; they are checked or skipped and never restored.
+  const bool legacy = version < 3;
   uint32_t shard_count = 0;
   uint8_t merged = 0;
   uint64_t samples_folded = 0;
   uint32_t entry_count = 0;
-  if (!r.ReadU32(&shard_count) || !r.ReadU8(&merged) || !r.ReadU64(&samples_folded) ||
-      !r.ReadU32(&entry_count)) {
+  if (!r.ReadU32(&shard_count) || (legacy && !r.ReadU8(&merged)) ||
+      !r.ReadU64(&samples_folded) || !r.ReadU32(&entry_count)) {
     return Corrupt("truncated store header");
   }
   if (shard_count == 0 || shard_count > 65536) {
@@ -318,15 +272,17 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
   if (merged > 1) {
     return Corrupt("bad merged flag");
   }
-  if (entry_count > r.remaining() / kMinEntryBytes) {
+  if (entry_count > r.remaining() / (legacy ? kMinLegacyEntryBytes : kMinEntryBytes)) {
     return Corrupt("entry count exceeds payload");
   }
 
+  const auto entry_range =
+      *moputil::LogQuantile::LegalIndexRange(AggregateEntry::kRelErr, kMaxLogBuckets);
   state.store = AggregateStore(shard_count);
   for (uint32_t i = 0; i < entry_count; ++i) {
     uint64_t packed = 0;
     uint8_t entry_merged = 0;
-    if (!r.ReadU64(&packed) || !r.ReadU8(&entry_merged)) {
+    if (!r.ReadU64(&packed) || (legacy && !r.ReadU8(&entry_merged))) {
       return Corrupt("truncated entry");
     }
     if (entry_merged > 1) {
@@ -337,7 +293,6 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
       return Corrupt("duplicate entry key");
     }
     AggregateEntry& entry = state.store.MutableEntry(key);
-    entry.merged = entry_merged != 0;
 
     moputil::OnlineStats::State stats;
     if (!r.ReadU64(&stats.count) || !r.ReadF64(&stats.mean) || !r.ReadF64(&stats.m2) ||
@@ -346,7 +301,7 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     }
     entry.stats.Restore(stats);
 
-    if (!ReadP2(&r, &entry.p50) || !ReadP2(&r, &entry.p95)) {
+    if (legacy && !r.Skip(kLegacyP2Bytes)) {
       return Corrupt("truncated entry P2 markers");
     }
 
@@ -356,10 +311,14 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
         !r.ReadU32(&bucket_count)) {
       return Corrupt("truncated entry log sketch");
     }
-    if (bucket_count > kMaxLogBuckets) {
-      return Corrupt("log bucket count exceeds limit");
-    }
     log.lo_index = std::bit_cast<int32_t>(lo_bits);
+    // Buckets outside the clamp span cannot come from LogQuantile::Add(), and
+    // a far-off lo_index would make a later MergeFrom() resize by the gap.
+    if (bucket_count > 0 &&
+        !(entry_range.Contains(log.lo_index) &&
+          entry_range.Contains(int64_t{log.lo_index} + bucket_count - 1))) {
+      return Corrupt("log buckets out of range");
+    }
     log.counts.resize(bucket_count);
     uint64_t bucket_sum = 0;
     for (uint32_t& c : log.counts) {
@@ -375,7 +334,10 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     entry.quantiles.Restore(std::move(log));
   }
   state.store.set_samples_folded(samples_folded);
-  state.store.set_merged(merged != 0);
+  // Health shard geometry follows the aggregate store's (both come from the
+  // collector's opts.shards), so a decoded state deep-equals the exported one
+  // and ImportState keeps the server's sharding invariant.
+  state.health = mopcollect::HealthStore(shard_count);
 
   if (version == 1) {
     // A pre-health snapshot: its payload ends here. The health sections stay
@@ -386,7 +348,7 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     return state;
   }
 
-  // ---- v2 sections ----
+  // ---- Sections added in version 2 ----
   uint32_t telemetry_device_count = 0;
   if (!r.ReadU32(&telemetry_device_count)) {
     return Corrupt("truncated telemetry dedup section");
@@ -417,10 +379,6 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     return Corrupt("truncated telemetry counters");
   }
 
-  // Health shard geometry follows the aggregate store's (both come from the
-  // collector's opts.shards), so a decoded state deep-equals the exported one
-  // and ImportState keeps the server's sharding invariant.
-  state.health = mopcollect::HealthStore(shard_count);
   uint32_t metric_count = 0;
   if (!r.ReadU32(&metric_count)) {
     return Corrupt("truncated health section");
@@ -470,7 +428,13 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
             !r.ReadU32(&bucket_count)) {
           return Corrupt("truncated health histogram header");
         }
-        if (bucket_count > kMaxLogBuckets) {
+        // The geometries and indexes the wire decoder admits, no others.
+        auto range =
+            moputil::LogQuantile::LegalIndexRange(m.rel_err, mopcollect::kMaxHealthBuckets);
+        if (!range) {
+          return Corrupt("bad health histogram geometry");
+        }
+        if (bucket_count > range->span()) {
           return Corrupt("health bucket count exceeds limit");
         }
         for (uint32_t b = 0; b < bucket_count; ++b) {
@@ -478,6 +442,9 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
           uint64_t count = 0;
           if (!r.ReadU32(&idx_bits) || !r.ReadU64(&count)) {
             return Corrupt("truncated health bucket");
+          }
+          if (!range->Contains(std::bit_cast<int32_t>(idx_bits))) {
+            return Corrupt("health bucket index out of range");
           }
           m.buckets[std::bit_cast<int32_t>(idx_bits)] += count;
         }

@@ -1,12 +1,13 @@
 // Collector snapshot persistence.
 //
 // A snapshot is everything a collector must not lose across a restart: the
-// aggregate store (per-key counts, moments, P² markers, log buckets), the
-// global interners its keys index into, the ingest counters, and the
-// (device_id, batch_seq) duplicate-delivery windows. The last part is what
-// makes restart recovery fold-exact under at-least-once upload: a batch
-// whose ack was lost in the crash is re-sent by the device, and the restored
-// dedup window recognizes it instead of double-counting.
+// aggregate store (per-key counts, moments, log buckets), the global
+// interners its keys index into, the ingest counters, the (device_id,
+// batch_seq) duplicate-delivery windows, and the crowd-health store. The
+// dedup windows are what make restart recovery fold-exact under
+// at-least-once upload: a batch whose ack was lost in the crash is re-sent by
+// the device, and the restored dedup window recognizes it instead of
+// double-counting.
 //
 // File format (little-endian, built from the wire.* codec primitives):
 //
@@ -16,14 +17,12 @@
 //              7 x u64 ingest counters
 //              u32 device_count, then per device:
 //                u32 device_id, u32 seq_count, seq_count x u32 (oldest first)
-//              u32 shard_count, u8 merged, u64 samples_folded,
+//              u32 shard_count, u64 samples_folded,
 //              u32 entry_count, then per entry (sorted by packed key):
-//                u64 key, u8 merged,
+//                u64 key,
 //                stats  { u64 count, f64 mean, m2, min, max }
-//                p50/p95 P² { u64 count, 5 x f64 heights, positions, desired }
 //                log    { u64 total, u64 zero_or_less, i32 lo_index,
 //                         u32 n, n x u32 buckets }
-//              ---- end of the version-1 payload ----
 //              telemetry dedup windows (same shape as the batch windows)
 //              4 x u64 telemetry counters
 //              crowd health: u32 metric_count, then per metric (name-sorted):
@@ -35,11 +34,18 @@
 //              u32 device_count, device_count x u32 (sorted)
 //              u64 health_folds, u64 health_conflicts
 //
+// Versions 1 and 2 still load. Both also carry a u8 merged flag after
+// shard_count and after each entry key, and two P² sketches per entry
+// between stats and log (2 x { u64 count, 15 x f64 markers }); the decoder
+// checks each flag is 0 or 1 and skips the markers. A version-1 payload ends
+// after the entries: it has no telemetry or health sections.
+//
 // Loading is strictly bounds-checked: bad magic/version/CRC, any truncation,
-// table or bucket counts beyond their caps, or internal inconsistencies
-// (entry count vs log-bucket totals) yield an error Status and no partial
-// state. Writes go to `<path>.tmp` and rename into place, so a crash during
-// a write leaves the previous snapshot intact.
+// table or bucket counts beyond their caps, bucket indexes outside the span
+// a sketch's input clamps allow, or internal inconsistencies (entry count vs
+// log-bucket totals) yield an error Status and no partial state. Writes go to
+// `<path>.tmp` and rename into place, so a crash during a write leaves the
+// previous snapshot intact.
 #ifndef MOPEYE_FLEET_SNAPSHOT_H_
 #define MOPEYE_FLEET_SNAPSHOT_H_
 
@@ -56,13 +62,9 @@
 namespace mopfleet {
 
 constexpr uint16_t kSnapshotMagic = 0x534d;  // "MS"
-// v2 appends the crowd-health sections (telemetry dedup windows, telemetry
-// counters, HealthStore contents) after the v1 payload; the decoder still
-// reads v1 files (the v1 sections end exactly at the payload end, so "no
-// more bytes" is the version-1 terminator). The encoder downgrades to a
-// version-1 frame when every v2 section is empty, so telemetry-free
-// collectors keep writing byte-identical pre-health snapshots.
-constexpr uint8_t kSnapshotVersion = 2;
+// The version EncodeSnapshot writes. DecodeSnapshot reads it and versions 1
+// and 2 (see the format above).
+constexpr uint8_t kSnapshotVersion = 3;
 // A collector's aggregate state is O(keys), a few MiB at crowd scale; a
 // length prefix beyond this is a corrupt or hostile file.
 constexpr size_t kMaxSnapshotPayload = 256u * 1024 * 1024;

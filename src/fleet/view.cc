@@ -96,20 +96,4 @@ AggregateKey FleetView::MakeKey(const std::string& app, const std::string& isp,
   return key;
 }
 
-moputil::Result<double> FleetView::MergedP2Median(const AggregateKey& key) const {
-  const auto* entry = merged_.Find(key);
-  if (entry == nullptr) {
-    return moputil::NotFound("no aggregate entry for key");
-  }
-  return entry->p2_median_ms();
-}
-
-moputil::Result<double> FleetView::MergedP2P95(const AggregateKey& key) const {
-  const auto* entry = merged_.Find(key);
-  if (entry == nullptr) {
-    return moputil::NotFound("no aggregate entry for key");
-  }
-  return entry->p2_p95_ms();
-}
-
 }  // namespace mopfleet

@@ -7,12 +7,6 @@
 // remapped key are folded together — counts and moments combine exactly and
 // the log-bucket sketches merge by bucket addition, so any merged quantile
 // carries the same 2% guarantee as a single collector's.
-//
-// Documented constraint: P² sketches do NOT merge. The merged entries keep
-// their per-collector P² markers but refuse to answer through them —
-// AggregateEntry::p2_median_ms()/p2_p95_ms() (and the MergedP2* helpers
-// below) return kFailedPrecondition on a merged view. Merged quantiles are
-// log-bucket only; that is the API, not a caveat buried in a doc.
 #ifndef MOPEYE_FLEET_VIEW_H_
 #define MOPEYE_FLEET_VIEW_H_
 
@@ -47,8 +41,7 @@ class FleetView {
 
   // ---- Merged queries ----
 
-  // The merged store: merged() is true, so P² reads are refused at the
-  // entry level. Keys use the view's interners below.
+  // The merged store. Keys use the view's interners below.
   const mopcollect::AggregateStore& store() const { return merged_; }
   const mopcollect::Interner& apps() const { return apps_; }
   const mopcollect::Interner& isps() const { return isps_; }
@@ -80,13 +73,6 @@ class FleetView {
   std::vector<mopcollect::IspDnsStat> IspDnsStats(size_t min_count = 1) const {
     return IspDnsStatsOf(merged_, isps_, min_count);
   }
-
-  // The P² constraint, surfaced: these always return kFailedPrecondition on
-  // a view with more than one source (and on single-source views they still
-  // go through the merged entries, which refuse once merged). Exists so
-  // callers porting from CollectorServer hit a typed error, not silence.
-  moputil::Result<double> MergedP2Median(const mopcollect::AggregateKey& key) const;
-  moputil::Result<double> MergedP2P95(const mopcollect::AggregateKey& key) const;
 
  private:
   void MergeSource(const mopcollect::AggregateStore& store, const mopcollect::Interner& apps,

@@ -58,135 +58,30 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-P2Quantile::P2Quantile(double percentile) : q_(percentile / 100.0) {
-  assert(percentile > 0.0 && percentile < 100.0);
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    positions_[i] = static_cast<double>(i + 1);
-  }
-}
-
-void P2Quantile::Add(double x) {
-  if (count_ < 5) {
-    heights_[count_++] = x;
-    if (count_ == 5) {
-      std::sort(heights_, heights_ + 5);
-    }
-    return;
-  }
-  // Locate the cell containing x and clamp the extreme markers.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = std::max(heights_[4], x);
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) {
-      ++k;
-    }
-  }
-  for (int i = k + 1; i < 5; ++i) {
-    positions_[i] += 1.0;
-  }
-  for (int i = 0; i < 5; ++i) {
-    desired_[i] += increments_[i];
-  }
-  ++count_;
-  // Adjust interior markers toward their desired positions: parabolic (PP)
-  // prediction when it stays monotone, linear otherwise.
-  for (int i = 1; i <= 3; ++i) {
-    double d = desired_[i] - positions_[i];
-    if ((d >= 1.0 && positions_[i + 1] - positions_[i] > 1.0) ||
-        (d <= -1.0 && positions_[i - 1] - positions_[i] < -1.0)) {
-      double sign = d >= 0 ? 1.0 : -1.0;
-      double hp = heights_[i + 1];
-      double hm = heights_[i - 1];
-      double np = positions_[i + 1];
-      double nm = positions_[i - 1];
-      double n = positions_[i];
-      double parabolic =
-          heights_[i] + sign / (np - nm) *
-                            ((n - nm + sign) * (hp - heights_[i]) / (np - n) +
-                             (np - n - sign) * (heights_[i] - hm) / (n - nm));
-      if (hm < parabolic && parabolic < hp) {
-        heights_[i] = parabolic;
-      } else {
-        // Linear fallback toward the neighbor in the move direction.
-        int j = i + (sign > 0 ? 1 : -1);
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-P2Quantile::State P2Quantile::state() const {
-  State s;
-  s.count = count_;
-  for (int i = 0; i < 5; ++i) {
-    s.heights[i] = heights_[i];
-    s.positions[i] = positions_[i];
-    s.desired[i] = desired_[i];
-  }
-  return s;
-}
-
-void P2Quantile::Restore(const State& s) {
-  count_ = static_cast<size_t>(s.count);
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = s.heights[i];
-    positions_[i] = s.positions[i];
-    desired_[i] = s.desired[i];
-  }
-}
-
-double P2Quantile::Value() const {
-  assert(count_ > 0);
-  if (count_ < 5) {
-    // Exact quantile over the few initial samples (same interpolation as
-    // Samples::Percentile). Sorted by hand: std::sort on the short prefix
-    // trips GCC's -Warray-bounds under -O2 with sanitizers.
-    double sorted[5];
-    for (size_t i = 0; i < count_; ++i) {
-      double v = heights_[i];
-      size_t j = i;
-      while (j > 0 && sorted[j - 1] > v) {
-        sorted[j] = sorted[j - 1];
-        --j;
-      }
-      sorted[j] = v;
-    }
-    if (count_ == 1) {
-      return sorted[0];
-    }
-    double rank = q_ * static_cast<double>(count_ - 1);
-    size_t lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, count_ - 1);
-    double frac = rank - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-  }
-  return heights_[2];
-}
-
 LogQuantile::LogQuantile(double rel_err) {
   assert(rel_err > 0.0 && rel_err < 1.0);
   double gamma = (1.0 + rel_err) / (1.0 - rel_err);
   log_gamma_ = std::log(gamma);
   inv_log_gamma_ = 1.0 / log_gamma_;
+}
+
+std::optional<LogQuantile::IndexRange> LogQuantile::LegalIndexRange(double rel_err,
+                                                                     size_t max_span) {
+  if (!(rel_err > 0.0 && rel_err < 1.0)) {
+    return std::nullopt;
+  }
+  LogQuantile q(rel_err);
+  // Span in floating point first: on a geometry far finer than any cap,
+  // IndexOf() would overflow int (at gamma == 1 its scale is infinite).
+  if ((std::log(kLogQuantileMax) - std::log(kLogQuantileMin)) * q.inv_log_gamma_ >=
+      static_cast<double>(max_span)) {
+    return std::nullopt;
+  }
+  IndexRange range{q.IndexOf(kLogQuantileMin), q.IndexOf(kLogQuantileMax)};
+  if (range.span() > max_span) {
+    return std::nullopt;
+  }
+  return range;
 }
 
 int LogQuantile::IndexOf(double x) const {

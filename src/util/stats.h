@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,44 +47,6 @@ class OnlineStats {
   double max_ = 0;
 };
 
-// Streaming quantile estimator (Jain & Chlamtac's P² algorithm): tracks one
-// quantile with five markers in O(1) memory, so per-key tail latencies stay
-// cheap at crowd scale (millions of records). Exact for the first five
-// samples; a few percent of the true quantile afterwards on smooth
-// distributions.
-class P2Quantile {
- public:
-  // Marker state for persistence. The target percentile is not part of the
-  // state: Restore() keeps the percentile this instance was constructed with
-  // (increments are derived from it), so a sketch must be restored into an
-  // instance built for the same quantile.
-  struct State {
-    uint64_t count = 0;
-    double heights[5] = {};
-    double positions[5] = {};
-    double desired[5] = {};
-  };
-
-  // `percentile` in (0, 100), e.g. 50 for the median, 95 for P95.
-  explicit P2Quantile(double percentile);
-
-  void Add(double x);
-  State state() const;
-  void Restore(const State& s);
-  size_t count() const { return count_; }
-  // Current estimate. Requires count() > 0.
-  double Value() const;
-
- private:
-  double q_;  // target quantile in (0, 1)
-  size_t count_ = 0;
-  // Marker heights, positions (1-based), and desired positions.
-  double heights_[5];
-  double positions_[5];
-  double desired_[5];
-  double increments_[5];
-};
-
 // LogQuantile input clamps, shared with the telemetry histograms so both
 // sketch the exact same bucket geometry: values at or below the min collapse
 // into the zero bucket (sub-50ns RTTs carry no information at 2% relative
@@ -97,12 +60,11 @@ inline constexpr double kLogQuantileMax = 1e9;
 // relative width `rel_err` (DDSketch-flavored), so any quantile of any
 // positive-valued stream is answered within rel_err *regardless of arrival
 // order*. This matters for crowd ingestion: records arrive in per-device
-// batches, and such clustered (non-exchangeable) streams bias P²'s marker
-// adaptation by 10%+ on tail quantiles, while counting buckets cannot be
-// biased by ordering. Memory is one u32 per bucket in the occupied span —
-// bounded by the dynamic range (~350 buckets for 0.05 ms..60 s at 2%), not
-// the count; inputs are clamped to [5e-5, 1e9] so a hostile stream cannot
-// widen the span past ~800 buckets.
+// batches, a clustered (non-exchangeable) stream, and counting buckets
+// cannot be biased by ordering. Memory is one u32 per bucket in the
+// occupied span — bounded by the dynamic range (~350 buckets for
+// 0.05 ms..60 s at 2%), not the count; inputs are clamped to [5e-5, 1e9] so
+// a hostile stream cannot widen the span past ~800 buckets.
 class LogQuantile {
  public:
   // Bucket state for persistence and merging. rel_err is not part of the
@@ -115,12 +77,30 @@ class LogQuantile {
     std::vector<uint32_t> counts;
   };
 
+  // Closed range of bucket indexes a sketch can occupy: IndexOf() of the
+  // two input clamps.
+  struct IndexRange {
+    int32_t lo = 0;
+    int32_t hi = 0;
+
+    bool Contains(int64_t index) const { return index >= lo && index <= hi; }
+    size_t span() const { return static_cast<size_t>(hi - lo) + 1; }
+  };
+
   explicit LogQuantile(double rel_err = 0.02);
 
+  // The index range of a sketch with this `rel_err`, or nullopt when rel_err
+  // is outside (0, 1) or its range spans more than `max_span` buckets
+  // (max_span < INT32_MAX).
+  // Decoders bound every bucket index that arrives from outside the program
+  // by it, so no restored or merged sketch can be made to allocate past the
+  // span its clamps allow.
+  static std::optional<IndexRange> LegalIndexRange(double rel_err, size_t max_span);
+
   void Add(double x);
-  // Bucket-wise addition: unlike P², log-bucket sketches merge losslessly —
-  // the merged sketch equals one fed both streams, in any order. Both
-  // sketches must share the same rel_err (asserted via bucket geometry).
+  // Bucket-wise addition: log-bucket sketches merge losslessly — the merged
+  // sketch equals one fed both streams, in any order. Both sketches must
+  // share the same rel_err (asserted via bucket geometry).
   void MergeFrom(const LogQuantile& o);
   State state() const { return {total_, zero_or_less_, lo_index_, counts_}; }
   void Restore(State s);

@@ -16,6 +16,7 @@
 #include "net/net_context.h"
 #include "net/server.h"
 #include "sim/event_loop.h"
+#include "telemetry/metrics.h"
 #include "tests/test_world.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -225,6 +226,92 @@ TEST(WireCodec, TelemetryRejectsTruncationAtEveryLength) {
   EXPECT_TRUE(mopcollect::DecodeTelemetryPayload(payload).ok());
   payload.push_back(0);
   EXPECT_FALSE(mopcollect::DecodeTelemetryPayload(payload).ok());
+}
+
+// A histogram bucket index far outside the span any sketch can occupy is
+// refused at decode. Folded, it would make every crowd scrape rebuild a dense
+// sketch over the whole index gap (~8 GiB for this 101-byte frame).
+TEST(WireCodec, TelemetryRejectsBucketIndexesOutsideTheClampSpan) {
+  mopcollect::WireTelemetry t;
+  t.device_id = 3;
+  t.seq = 1;
+  mopcollect::WireHealthEntry hist;
+  hist.name = "mopeye_device_rtt_ms";
+  hist.kind = 2;
+  hist.rel_err = 0.02;
+  hist.buckets = {{0, 1}, {2147483000, 1}};
+  t.health = {hist};
+  auto frame = mopcollect::EncodeTelemetryFrame(t);
+  ASSERT_EQ(frame.size(), 101u);
+  std::span<const uint8_t> payload{frame.data() + 4, frame.size() - 4};
+  auto decoded = mopcollect::DecodeTelemetryPayload(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), moputil::StatusCode::kInvalidArgument);
+  mopcollect::CollectorServer server;
+  EXPECT_FALSE(server.IngestTelemetry(payload, nullptr).ok());
+  EXPECT_EQ(server.health().metric_count(), 0u);
+  EXPECT_EQ(server.counters().telemetry_frames, 0u);
+
+  // The ends of the legal range decode; one past either end does not.
+  auto range = moputil::LogQuantile::LegalIndexRange(0.02, mopcollect::kMaxHealthBuckets);
+  ASSERT_TRUE(range.has_value());
+  auto decodes = [&](std::vector<std::pair<int32_t, uint64_t>> buckets, double rel_err) {
+    t.health[0].buckets = std::move(buckets);
+    t.health[0].rel_err = rel_err;
+    auto f = mopcollect::EncodeTelemetryFrame(t);
+    return mopcollect::DecodeTelemetryPayload({f.data() + 4, f.size() - 4}).ok();
+  };
+  EXPECT_TRUE(decodes({{range->lo, 1}, {range->hi, 1}}, 0.02));
+  EXPECT_FALSE(decodes({{range->lo - 1, 1}}, 0.02));
+  EXPECT_FALSE(decodes({{range->hi + 1, 1}}, 0.02));
+  // A geometry so fine its legal range outgrows kMaxHealthBuckets is refused
+  // whatever its indexes.
+  EXPECT_FALSE(decodes({{0, 1}}, 1e-3));
+}
+
+// A device histogram fed values at and beyond both input clamps occupies
+// exactly the ends of the legal range, so its export still decodes and folds.
+TEST(WireCodec, HistogramAtTheClampsExportsDecodesAndFolds) {
+  moptel::Registry reg(1);
+  moptel::Histogram* h = reg.AddHistogram("mopeye_device_rtt_ms", "rtt");
+  for (double x : {1e-300, moputil::kLogQuantileMin, moputil::kLogQuantileMin * 1.0000001,
+                   moputil::kLogQuantileMax, 1e300}) {
+    h->Observe(0, x);
+  }
+  auto samples = reg.Sample([](std::string_view) { return true; });
+  ASSERT_EQ(samples.size(), 1u);
+  const moptel::MetricSample& s = samples[0];
+  auto range = moputil::LogQuantile::LegalIndexRange(s.rel_err, mopcollect::kMaxHealthBuckets);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(s.zero_or_less, 2u);
+  ASSERT_EQ(s.buckets.size(), 2u);
+  EXPECT_EQ(s.buckets.front(), std::make_pair(range->lo, uint64_t{1}));
+  EXPECT_EQ(s.buckets.back(), std::make_pair(range->hi, uint64_t{2}));
+
+  mopcollect::WireTelemetry t;
+  t.device_id = 5;
+  t.seq = 1;
+  mopcollect::WireHealthEntry e;
+  e.name = s.name;
+  e.kind = static_cast<uint8_t>(s.kind);
+  e.rel_err = s.rel_err;
+  e.sum = s.sum;
+  e.zero_or_less = s.zero_or_less;
+  e.buckets = s.buckets;
+  t.health = {e};
+  auto frame = mopcollect::EncodeTelemetryFrame(t);
+  std::span<const uint8_t> payload{frame.data() + 4, frame.size() - 4};
+  auto decoded = mopcollect::DecodeTelemetryPayload(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value(), t);
+
+  mopcollect::CollectorServer server;
+  ASSERT_TRUE(server.IngestTelemetry(payload, nullptr).ok());
+  double top = 0;
+  ASSERT_TRUE(server.health().HistQuantile("mopeye_device_rtt_ms", 100.0, &top));
+  EXPECT_NEAR(top, moputil::kLogQuantileMax, 0.021 * moputil::kLogQuantileMax);
+  EXPECT_NE(server.health().RenderText().find("mopeye_crowd_device_rtt_ms_count 5"),
+            std::string::npos);
 }
 
 // Backward compat, decoder side: a telemetry frame stamped with a *newer*

@@ -1,11 +1,15 @@
 // Fleet subsystem tests: device->shard routing, snapshot codec durability
-// (round-trip equality, truncation/corruption rejection, atomic file
-// replacement), restart recovery with dedup preserved, uploader failover
-// with possibly-delivered pinning, multi-lane ingest equivalence, and the
-// merged FleetView query plane with its P²-doesn't-merge guard.
+// (round-trip equality, truncation/corruption rejection, golden version-1
+// and version-2 files, hostile bucket indexes, atomic file replacement),
+// restart recovery with dedup preserved, uploader failover with
+// possibly-delivered pinning, multi-lane ingest equivalence, and the merged
+// FleetView query plane.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -169,7 +173,6 @@ TEST(Snapshot, RoundTripPreservesEverything) {
   EXPECT_EQ(got.store.key_count(), state.store.key_count());
   EXPECT_EQ(got.store.samples_folded(), state.store.samples_folded());
   EXPECT_EQ(got.store.shard_count(), state.store.shard_count());
-  EXPECT_FALSE(got.store.merged());
   for (const auto& [key, entry] : state.store.Match()) {
     const auto* restored = got.store.Find(key);
     ASSERT_NE(restored, nullptr);
@@ -180,12 +183,10 @@ TEST(Snapshot, RoundTripPreservesEverything) {
     EXPECT_DOUBLE_EQ(restored->stats.variance(), entry->stats.variance());
     EXPECT_DOUBLE_EQ(restored->stats.min(), entry->stats.min());
     EXPECT_DOUBLE_EQ(restored->stats.max(), entry->stats.max());
-    // P² markers survive byte-exactly (both sides unmerged).
-    EXPECT_DOUBLE_EQ(restored->p2_median_ms().value(), entry->p2_median_ms().value());
-    EXPECT_DOUBLE_EQ(restored->p2_p95_ms().value(), entry->p2_p95_ms().value());
   }
 
   // Canonical bytes: re-encoding the decoded state reproduces the file.
+  EXPECT_EQ(bytes[2], mopfleet::kSnapshotVersion);
   EXPECT_EQ(mopfleet::EncodeSnapshot(got), bytes);
 }
 
@@ -253,17 +254,15 @@ TEST(Snapshot, FileWriteIsAtomicAndReadable) {
   std::remove(path.c_str());
 }
 
-// v2 sections: the crowd-health store, the telemetry dedup window, and the
-// telemetry counters all survive the snapshot byte-exactly — and the
-// re-encoding stays canonical.
-TEST(Snapshot, V2RoundTripPreservesHealthAndTelemetryDedup) {
+// The crowd-health store, the telemetry dedup window, and the telemetry
+// counters all survive the snapshot byte-exactly — and the re-encoding stays
+// canonical.
+TEST(Snapshot, RoundTripPreservesHealthAndTelemetryDedup) {
   auto server = PopulatedCollector();
   IngestHealth(server.get(), /*device=*/1, /*seq=*/100, /*counter=*/55, /*gauge=*/870);
   IngestHealth(server.get(), /*device=*/2, /*seq=*/7, /*counter=*/11, /*gauge=*/430);
   auto state = server->ExportState();
   auto bytes = mopfleet::EncodeSnapshot(state);
-  ASSERT_GT(bytes.size(), 3u);
-  EXPECT_EQ(bytes[2], 2u);  // health state present -> v2 frame
   auto decoded = mopfleet::DecodeSnapshot(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const auto& got = decoded.value();
@@ -289,43 +288,228 @@ TEST(Snapshot, V2RoundTripPreservesHealthAndTelemetryDedup) {
   EXPECT_EQ(restarted.counters().telemetry_duplicate, 1u);
 }
 
-// Backward compat: a telemetry-free state encodes as a version-1 frame —
-// byte-identical to what a pre-health collector wrote — and such a frame
-// still loads, restoring everything v1 carried with health left empty. The
-// v1 sections end exactly at the payload end, so every default-config
-// snapshot exercises the legacy decode path.
-TEST(Snapshot, DecodesVersion1PayloadWithoutHealthSections) {
-  auto server = PopulatedCollector();
-  auto state = server->ExportState();
-  auto v1 = mopfleet::EncodeSnapshot(state);
+// ---- Golden legacy snapshots ----
+//
+// tests/data/snapshot_v1.bin and snapshot_v2.bin were written by the
+// version-2 encoder (which wrote a version-1 frame while no health state
+// existed) from one collector with shards = 4. Device 7 uploaded batch 41
+// {Whatsapp/Wi-Fi 120.5 ms, Whatsapp/Wi-Fi 80.25 ms, Youtube/LTE 45 ms} and
+// batch 42 {Chrome/LTE DNS 30 ms}, all over ISP JioNet in country IN. The
+// version-2 image adds one telemetry frame (device 7, seq 43) carrying a
+// counter, a gauge and a histogram. The values below are what that encoder's
+// state held.
 
-  // Frame layout: u16 magic, u8 version, u32 payload_len, payload, u32 crc.
-  ASSERT_GT(v1.size(), 7u + 4u);
-  EXPECT_EQ(v1[2], 1u);  // no telemetry ever arrived -> pre-health format
-  size_t payload_len = v1.size() - 7 - 4;
+std::vector<uint8_t> ReadFixture(const std::string& name) {
+  std::ifstream in(std::string(MOPEYE_TEST_DATA_DIR) + "/" + name, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
+uint32_t U32At(const std::vector<uint8_t>& image, size_t at) {
+  uint32_t v = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(image[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+// Overwrites the u32 at `at` and re-seals the CRC, so only the decoder's
+// semantic checks stand between the patched image and a restored state.
+void PatchU32(std::vector<uint8_t>* image, size_t at, uint32_t v) {
+  auto put = [image](size_t pos, uint32_t x) {
+    for (size_t i = 0; i < 4; ++i) {
+      (*image)[pos + i] = static_cast<uint8_t>(x >> (8 * i));
+    }
+  };
+  put(at, v);
+  put(image->size() - 4, mopfleet::Crc32({image->data() + 7, image->size() - 11}));
+}
+
+struct GoldenEntry {
+  mopcollect::AggregateKey key;
+  uint64_t count;
+  double mean, m2, min, max, median, p95;
+};
+
+void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
+  constexpr uint16_t kAny = mopcollect::kAnyId;
+  constexpr uint8_t kAnyB = mopcollect::kAnyByte;
+  const GoldenEntry kEntries[] = {
+      {{0, 0, 0, 0, 0}, 2, 100.375, 810.03125, 80.25, 120.5, 99.532492640417175,
+       117.21552074646188},
+      {{0, kAny, kAny, kAnyB, 0}, 2, 100.375, 810.03125, 80.25, 120.5, 99.532492640417175,
+       117.21552074646188},
+      {{1, 0, 0, 3, 0}, 1, 45, 0, 45, 45, 45.627447559716344, 45.627447559716344},
+      {{1, kAny, kAny, kAnyB, 0}, 1, 45, 0, 45, 45, 45.627447559716344, 45.627447559716344},
+      {{2, 0, 0, 3, 1}, 1, 30, 0, 30, 30, 30.583361201023472, 30.583361201023472},
+      {{2, kAny, kAny, kAnyB, 1}, 1, 30, 0, 30, 30, 30.583361201023472, 30.583361201023472},
+      {{kAny, 0, kAny, 0, 0}, 2, 100.375, 810.03125, 80.25, 120.5, 99.532492640417175,
+       117.21552074646188},
+      {{kAny, 0, kAny, 3, 0}, 1, 45, 0, 45, 45, 45.627447559716344, 45.627447559716344},
+      {{kAny, 0, kAny, 3, 1}, 1, 30, 0, 30, 30, 30.583361201023472, 30.583361201023472},
+  };
+  EXPECT_EQ(got.apps.names(), (std::vector<std::string>{"Whatsapp", "Youtube", "Chrome"}));
+  EXPECT_EQ(got.isps.names(), std::vector<std::string>{"JioNet"});
+  EXPECT_EQ(got.countries.names(), std::vector<std::string>{"IN"});
+  EXPECT_EQ(got.batches_ok, 2u);
+  EXPECT_EQ(got.records_ingested, 4u);
+  EXPECT_EQ(got.connections + got.frames + got.batches_rejected + got.batches_duplicate +
+                got.stream_errors,
+            0u);
+  EXPECT_EQ(got.seen_batches,
+            (std::vector<std::pair<uint32_t, std::vector<uint32_t>>>{{7, {41, 42}}}));
+  EXPECT_EQ(got.store.shard_count(), 4u);
+  EXPECT_EQ(got.store.samples_folded(), 12u);
+  EXPECT_EQ(got.store.key_count(), std::size(kEntries));
+  for (const GoldenEntry& want : kEntries) {
+    const auto* entry = got.store.Find(want.key);
+    ASSERT_NE(entry, nullptr) << want.key.Packed();
+    auto stats = entry->stats.state();
+    EXPECT_EQ(stats.count, want.count);
+    EXPECT_EQ(entry->quantiles.count(), want.count);
+    EXPECT_DOUBLE_EQ(stats.mean, want.mean);
+    EXPECT_DOUBLE_EQ(stats.m2, want.m2);
+    EXPECT_DOUBLE_EQ(stats.min, want.min);
+    EXPECT_DOUBLE_EQ(stats.max, want.max);
+    EXPECT_DOUBLE_EQ(entry->median_ms(), want.median);
+    EXPECT_DOUBLE_EQ(entry->p95_ms(), want.p95);
+  }
+}
+
+TEST(Snapshot, GoldenVersion1DecodesToRecordedValues) {
+  auto v1 = ReadFixture("snapshot_v1.bin");
+  ASSERT_EQ(v1.size(), 3266u);
+  EXPECT_EQ(v1[2], 1u);
   auto decoded = mopfleet::DecodeSnapshot(v1);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectGoldenAggregates(decoded.value());
+  // A version-1 collector had no health state: it restores empty.
+  EXPECT_TRUE(decoded.value().seen_telemetry.empty());
+  EXPECT_EQ(decoded.value().telemetry_frames, 0u);
+  EXPECT_EQ(decoded.value().health, mopcollect::HealthStore(4));
+}
+
+TEST(Snapshot, GoldenVersion2DecodesToRecordedValues) {
+  auto v2 = ReadFixture("snapshot_v2.bin");
+  ASSERT_EQ(v2.size(), 3545u);
+  EXPECT_EQ(v2[2], 2u);
+  auto decoded = mopfleet::DecodeSnapshot(v2);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const auto& got = decoded.value();
-  EXPECT_EQ(got.records_ingested, state.records_ingested);
-  EXPECT_EQ(got.seen_batches, state.seen_batches);
-  EXPECT_EQ(got.store.key_count(), state.store.key_count());
-  EXPECT_EQ(got.health.metric_count(), 0u);
-  EXPECT_TRUE(got.seen_telemetry.empty());
-  EXPECT_EQ(mopfleet::EncodeSnapshot(got), v1);  // canonical both ways
-  // A v1 payload with trailing garbage is rejected (strict terminator).
-  auto padded = v1;
-  size_t padded_len = payload_len + 1;
-  for (int i = 0; i < 4; ++i) {
-    padded[3 + static_cast<size_t>(i)] = static_cast<uint8_t>(padded_len >> (8 * i));
+  ExpectGoldenAggregates(got);
+  EXPECT_EQ(got.seen_telemetry,
+            (std::vector<std::pair<uint32_t, std::vector<uint32_t>>>{{7, {43}}}));
+  EXPECT_EQ(got.telemetry_frames, 1u);
+  EXPECT_EQ(got.telemetry_duplicate + got.telemetry_rejected + got.frames_skipped, 0u);
+
+  const auto& health = got.health;
+  EXPECT_EQ(health.metric_count(), 3u);
+  uint64_t v = 0;
+  ASSERT_TRUE(health.CounterValue("mopeye_device_records_generated_total", &v));
+  EXPECT_EQ(v, 4u);
+  const auto* gauge = health.Find("mopeye_device_battery_permille");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->gauges, (std::map<uint32_t, mopcollect::HealthStore::GaugeCell>{
+                               {7, {.seq = 43, .value = 874}}}));
+  const auto* hist = health.Find("mopeye_device_rtt_ms");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->kind, 2u);
+  EXPECT_DOUBLE_EQ(hist->rel_err, 0.02);
+  EXPECT_DOUBLE_EQ(hist->sum, 275.75);
+  EXPECT_EQ(hist->zero_or_less, 0u);
+  EXPECT_EQ(hist->buckets, (std::map<int32_t, uint64_t>{{85, 1}, {95, 1}, {109, 1}, {119, 1}}));
+  EXPECT_EQ(health.devices(), std::set<uint32_t>{7});
+  EXPECT_EQ(health.folds(), 1u);
+  EXPECT_EQ(health.conflicts(), 0u);
+}
+
+TEST(Snapshot, GoldenFilesRejectEveryTruncationAndATrailingByte) {
+  for (const char* name : {"snapshot_v1.bin", "snapshot_v2.bin"}) {
+    auto bytes = ReadFixture(name);
+    ASSERT_FALSE(bytes.empty()) << name;
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      EXPECT_FALSE(mopfleet::DecodeSnapshot({bytes.data(), cut}).ok())
+          << name << " decoded from a " << cut << "-byte prefix";
+    }
+    bytes.push_back(0);
+    EXPECT_FALSE(mopfleet::DecodeSnapshot(bytes).ok()) << name;
+    // A payload one byte longer, with its length and CRC re-sealed: each
+    // version's last section must end exactly at the payload end.
+    bytes.pop_back();
+    bytes.insert(bytes.end() - 4, 0);
+    PatchU32(&bytes, 3, U32At(bytes, 3) + 1);
+    EXPECT_FALSE(mopfleet::DecodeSnapshot(bytes).ok()) << name;
   }
-  padded.insert(padded.begin() + 7 + static_cast<long>(payload_len), 0);
-  uint32_t crc2 = mopfleet::Crc32({padded.data() + 7, payload_len + 1});
-  for (int i = 0; i < 4; ++i) {
-    padded[padded.size() - 4 + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(crc2 >> (8 * i));
+}
+
+// Re-encoding a legacy file writes the current layout, which round-trips
+// byte-identically and restores the same state.
+TEST(Snapshot, GoldenFilesReencodeAsCanonicalVersion3) {
+  for (const char* name : {"snapshot_v1.bin", "snapshot_v2.bin"}) {
+    auto legacy = mopfleet::DecodeSnapshot(ReadFixture(name));
+    ASSERT_TRUE(legacy.ok()) << name << ": " << legacy.status().ToString();
+    auto v3 = mopfleet::EncodeSnapshot(legacy.value());
+    ASSERT_GT(v3.size(), 3u);
+    EXPECT_EQ(v3[2], 3u) << name;
+    auto decoded = mopfleet::DecodeSnapshot(v3);
+    ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
+    ExpectGoldenAggregates(decoded.value());
+    EXPECT_EQ(decoded.value().health, legacy.value().health) << name;
+    EXPECT_EQ(decoded.value().seen_telemetry, legacy.value().seen_telemetry) << name;
+    EXPECT_EQ(mopfleet::EncodeSnapshot(decoded.value()), v3) << name;
   }
-  EXPECT_FALSE(mopfleet::DecodeSnapshot(padded).ok());
+}
+
+// A bucket index outside the span the input clamps allow cannot come from a
+// sketch. Restored, a far-off entry lo_index would make FleetView's merge
+// resize by the gap, and a far-off health bucket would make every crowd
+// scrape rebuild a dense sketch over it; both are refused as corrupt.
+TEST(Snapshot, RejectsBucketIndexesOutsideTheClampSpan) {
+  auto v1 = ReadFixture("snapshot_v1.bin");
+  auto v2 = ReadFixture("snapshot_v2.bin");
+  auto decoded_v2 = mopfleet::DecodeSnapshot(v2);
+  ASSERT_TRUE(decoded_v2.ok()) << decoded_v2.status().ToString();
+  auto v3 = mopfleet::EncodeSnapshot(decoded_v2.value());
+  EXPECT_EQ(v3[2], 3u);
+
+  // The first entry (Whatsapp over Wi-Fi) has lo_index 109. In versions 1
+  // and 2 it sits after the entry's merged flag and P² markers.
+  struct Patch {
+    const char* what;
+    std::vector<uint8_t> image;
+    size_t at;
+    uint32_t original;
+    uint32_t forged;
+  };
+  const Patch patches[] = {
+      {"v1 entry lo_index", v1, 466, 109, 0x40000000},
+      {"v2 entry lo_index", v2, 466, 109, 0x40000000},
+      {"v3 entry lo_index", v3, 208, 109, 0x40000000},
+      {"v3 entry lo_index below the floor", v3, 208, 109, static_cast<uint32_t>(-249)},
+      // The health histogram's last bucket index (119) sits 40 bytes before
+      // the end, followed by its count (8), the health device section (8),
+      // the tallies (16) and the CRC (4).
+      {"v2 health bucket", v2, v2.size() - 40, 119, 2147483000},
+      {"v3 health bucket", v3, v3.size() - 40, 119, 2147483000},
+  };
+  for (const Patch& p : patches) {
+    ASSERT_EQ(U32At(p.image, p.at), p.original) << p.what;
+    auto image = p.image;
+    PatchU32(&image, p.at, p.forged);
+    auto r = mopfleet::DecodeSnapshot(image);
+    ASSERT_FALSE(r.ok()) << p.what;
+    EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+        << p.what << ": " << r.status().ToString();
+  }
+
+  // The top of the span is still legal: the 11 buckets may end on it.
+  auto range = moputil::LogQuantile::LegalIndexRange(mopcollect::AggregateEntry::kRelErr,
+                                                     mopfleet::kMaxLogBuckets);
+  ASSERT_TRUE(range.has_value());
+  auto edge = v3;
+  PatchU32(&edge, 208, static_cast<uint32_t>(range->hi - 10));
+  EXPECT_TRUE(mopfleet::DecodeSnapshot(edge).ok());
+  PatchU32(&edge, 208, static_cast<uint32_t>(range->hi - 9));
+  EXPECT_FALSE(mopfleet::DecodeSnapshot(edge).ok());
 }
 
 // Restart recovery: a restored collector recognizes re-deliveries of batches
@@ -359,7 +543,7 @@ TEST(Snapshot, ImportRestoresDedupAcrossRestart) {
   EXPECT_EQ(restarted.counters().records_ingested, 2u);
 }
 
-// ---- Merged view + the P² constraint ----
+// ---- Merged view ----
 
 TEST(FleetView, MergesStoresAcrossDifferentInternerIdSpaces) {
   // Two collectors see overlapping apps in different orders, so the same
@@ -406,74 +590,6 @@ TEST(FleetView, MergesStoresAcrossDifferentInternerIdSpaces) {
   view.Refresh();
   EXPECT_EQ(view.records_ingested(), 1500u);
   EXPECT_EQ(view.TcpAppStats()[0].count, reference_stats[0].count);
-}
-
-TEST(FleetView, MergedP2QueriesReturnTypedError) {
-  mopcollect::CollectorServer a, b;
-  IngestRecords(&a, 1, 1, "Whatsapp", {100, 200, 300, 400, 500, 600});
-  IngestRecords(&b, 2, 1, "Whatsapp", {110, 210, 310});
-
-  // Unmerged single-collector entries answer P² queries fine.
-  auto solo = mopcollect::TcpAppStatsOf(a.store(), a.apps());
-  ASSERT_EQ(solo.size(), 1u);
-  mopcollect::AggregateKey solo_key{a.apps().Find("Whatsapp"), mopcollect::kAnyId,
-                                    mopcollect::kAnyId, mopcollect::kAnyByte,
-                                    static_cast<uint8_t>(mopcrowd::RecordKind::kTcp)};
-  ASSERT_NE(a.store().Find(solo_key), nullptr);
-  EXPECT_TRUE(a.store().Find(solo_key)->p2_median_ms().ok());
-
-  mopfleet::FleetView view;
-  view.AttachCollector(&a);
-  view.AttachCollector(&b);
-  view.Refresh();
-  EXPECT_TRUE(view.store().merged());
-
-  auto key = view.MakeKey("Whatsapp", "", "", mopcollect::kAnyByte,
-                          static_cast<uint8_t>(mopcrowd::RecordKind::kTcp));
-  const auto* entry = view.Find(key);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_TRUE(entry->merged);
-  EXPECT_EQ(entry->count(), 9u);
-  // Log-bucket quantiles answer; P² refuses with a typed error.
-  EXPECT_GT(entry->median_ms(), 0.0);
-  auto p2 = entry->p2_median_ms();
-  ASSERT_FALSE(p2.ok());
-  EXPECT_EQ(p2.status().code(), moputil::StatusCode::kFailedPrecondition);
-  auto via_view = view.MergedP2Median(key);
-  ASSERT_FALSE(via_view.ok());
-  EXPECT_EQ(via_view.status().code(), moputil::StatusCode::kFailedPrecondition);
-  EXPECT_EQ(view.MergedP2P95(key).status().code(),
-            moputil::StatusCode::kFailedPrecondition);
-  // Unknown key: NotFound, distinct from the merge refusal.
-  EXPECT_EQ(view.MergedP2Median(view.MakeKey("NoSuchApp", "", "", mopcollect::kAnyByte, 0))
-                .status()
-                .code(),
-            moputil::StatusCode::kNotFound);
-}
-
-// A snapshot of a merged store keeps refusing P² after a round-trip.
-TEST(FleetView, MergedFlagSurvivesSnapshotRoundTrip) {
-  mopcollect::CollectorServer a, b;
-  IngestRecords(&a, 1, 1, "App", {10, 20});
-  IngestRecords(&b, 2, 1, "App", {30});
-  mopfleet::FleetView view;
-  view.AttachCollector(&a);
-  view.AttachCollector(&b);
-  view.Refresh();
-
-  mopcollect::CollectorState state;
-  state.store = view.store();
-  state.apps = view.apps();
-  state.isps = view.isps();
-  state.countries = view.countries();
-  auto decoded = mopfleet::DecodeSnapshot(mopfleet::EncodeSnapshot(state));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded.value().store.merged());
-  auto key = view.MakeKey("App", "", "", mopcollect::kAnyByte,
-                          static_cast<uint8_t>(mopcrowd::RecordKind::kTcp));
-  const auto* entry = decoded.value().store.Find(key);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_FALSE(entry->p2_median_ms().ok());
 }
 
 // ---- Multi-lane ingest ----
@@ -576,9 +692,6 @@ TEST(MultiLaneIngest, LanesProduceIdenticalAggregatesToInline) {
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->count(), entry->count());
     EXPECT_DOUBLE_EQ(other->median_ms(), entry->median_ms());
-    // Identical per-entry fold order means even the order-sensitive P²
-    // markers agree.
-    EXPECT_DOUBLE_EQ(other->p2_median_ms().value(), entry->p2_median_ms().value());
   }
 }
 

@@ -200,12 +200,13 @@ TEST(TunWrite, AllSchemesDeliverAllPackets) {
 }
 
 TEST(TunWrite, BatchedDrainCoalescesBurstsAndDeliversEverything) {
-  // write_batching drains the whole queue per writev-style submission: the
-  // burst of data packets a 40 KB download produces must arrive intact while
-  // costing measurably fewer write submissions than packets written.
+  // More than one worker lane makes the TunWriter drain its whole queue per
+  // writev-style submission: the burst of data packets a 40 KB download
+  // produces must arrive intact while costing measurably fewer write
+  // submissions than packets written.
   TestWorld w;
   mopeye::Config cfg;
-  cfg.write_batching = true;
+  cfg.worker_lanes = 2;
   ASSERT_TRUE(w.StartEngine(cfg).ok());
   auto addr = w.AddServer(moppkt::IpAddr(93, 52, 0, 3), 7, Millis(5),
                           [] { return std::make_unique<mopnet::EchoBehavior>(); });

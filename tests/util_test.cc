@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "util/rng.h"
 #include "util/stats.h"
@@ -169,54 +168,6 @@ TEST(OnlineStats, MeanVarianceMinMax) {
   EXPECT_EQ(s.max(), 9.0);
 }
 
-TEST(P2Quantile, ExactForFirstFiveSamples) {
-  moputil::P2Quantile p50(50.0);
-  p50.Add(30.0);
-  EXPECT_DOUBLE_EQ(p50.Value(), 30.0);
-  p50.Add(10.0);
-  EXPECT_DOUBLE_EQ(p50.Value(), 20.0);
-  p50.Add(20.0);
-  EXPECT_DOUBLE_EQ(p50.Value(), 20.0);
-  p50.Add(40.0);
-  p50.Add(50.0);
-  EXPECT_DOUBLE_EQ(p50.Value(), 30.0);
-  EXPECT_EQ(p50.count(), 5u);
-}
-
-// The P² estimate must track the exact percentile across distribution shapes
-// (this is what the collector's aggregate store relies on for median/P95).
-TEST(P2Quantile, TracksExactPercentileAcrossDistributions) {
-  struct Case {
-    const char* name;
-    std::function<double(Rng&)> sample;
-  };
-  Rng rng(20160516);
-  const Case cases[] = {
-      {"uniform", [](Rng& r) { return r.Uniform(0, 100); }},
-      {"lognormal", [](Rng& r) { return r.LogNormalMedian(50.0, 0.6); }},
-      {"exponential", [](Rng& r) { return r.Exponential(30.0); }},
-      {"bimodal",
-       [](Rng& r) {
-         return r.Bernoulli(0.7) ? r.LogNormalMedian(20.0, 0.3)
-                                 : r.LogNormalMedian(200.0, 0.3);
-       }},
-  };
-  for (const Case& c : cases) {
-    for (double pct : {50.0, 90.0, 95.0}) {
-      moputil::P2Quantile sketch(pct);
-      Samples exact;
-      for (int i = 0; i < 20000; ++i) {
-        double v = c.sample(rng);
-        sketch.Add(v);
-        exact.Add(v);
-      }
-      double want = exact.Percentile(pct);
-      double tol = std::max(0.05 * want, 1.0);
-      EXPECT_NEAR(sketch.Value(), want, tol) << c.name << " p" << pct;
-    }
-  }
-}
-
 TEST(LogQuantile, GuaranteedRelativeError) {
   moputil::LogQuantile sketch(0.02);
   Samples exact;
@@ -233,11 +184,10 @@ TEST(LogQuantile, GuaranteedRelativeError) {
 }
 
 // Regression for the property the collector relies on: upload batches arrive
-// clustered by device (non-exchangeable order), which biases P² tails by
-// 10%+; the counting sketch must be unaffected by ordering.
+// clustered by device (non-exchangeable order); the counting sketch must be
+// unaffected by ordering.
 TEST(LogQuantile, OrderInsensitiveOnClusteredStreams) {
   moputil::LogQuantile sketch(0.02);
-  moputil::P2Quantile p2(95.0);
   Samples exact;
   Rng rng(7);
   // Eight "devices" with strongly different network conditions, arriving as
@@ -248,7 +198,6 @@ TEST(LogQuantile, OrderInsensitiveOnClusteredStreams) {
       double v = rng.Bernoulli(0.5) ? rng.LogNormalMedian(20.0 * scale, 0.3)
                                     : rng.LogNormalMedian(230.0 * scale, 0.35);
       sketch.Add(v);
-      p2.Add(v);
       exact.Add(v);
     }
   }
@@ -274,6 +223,30 @@ TEST(LogQuantile, ClampsHostileRangeToBoundedBuckets) {
   sketch.Add(50.0);
   EXPECT_LE(sketch.bucket_count(), 900u);
   EXPECT_NEAR(sketch.Quantile(50), 50.0, 1.1);
+}
+
+// The legal index range is IndexOf() over the input clamps: a sketch fed the
+// clamps and everything beyond them lands exactly on its ends.
+TEST(LogQuantile, LegalIndexRangeCoversTheClampsAndRefusesBadGeometry) {
+  auto range = moputil::LogQuantile::LegalIndexRange(0.02, 4096);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(range->lo, -248);
+  EXPECT_EQ(range->hi, 518);
+  EXPECT_EQ(range->span(), 767u);
+  moputil::LogQuantile sketch(0.02);
+  for (double x : {moputil::kLogQuantileMin * 1.0000001, 1e-3, 1.0, moputil::kLogQuantileMax,
+                   1e300}) {
+    sketch.Add(x);
+  }
+  auto st = sketch.state();
+  EXPECT_EQ(st.lo_index, range->lo);
+  EXPECT_EQ(st.lo_index + static_cast<int32_t>(st.counts.size()) - 1, range->hi);
+
+  EXPECT_FALSE(moputil::LogQuantile::LegalIndexRange(0.02, 766).has_value());
+  EXPECT_FALSE(moputil::LogQuantile::LegalIndexRange(1e-3, 8192).has_value());
+  for (double bad : {0.0, -0.5, 1.0, std::nan(""), 1e-300}) {
+    EXPECT_FALSE(moputil::LogQuantile::LegalIndexRange(bad, 8192).has_value()) << bad;
+  }
 }
 
 TEST(Samples, PercentileInterpolates) {
