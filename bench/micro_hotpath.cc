@@ -1,21 +1,19 @@
 // google-benchmark micro benches over the relay's hot paths: packet
-// parse/build, checksums, DNS codec, the TCP state machine, and the
-// real-thread queue algorithms (oldPut vs newPut) under contention.
+// parse/build, checksums, DNS codec, the TCP state machine, telemetry
+// observations, and the whole engine relaying a bulk workload.
 //
 // The README performance section records before/after numbers for the
 // zero-copy refactor; re-run with --benchmark_min_time=0.2s when updating it.
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "android/tun_device.h"
 #include "baselines/presets.h"
-#include "concurrent/packet_queue.h"
 #include "core/ack_coalesce.h"
-#include "concurrent/spsc_ring.h"
 #include "core/tcp_state_machine.h"
 #include "netpkt/checksum.h"
 #include "netpkt/dns.h"
@@ -205,7 +203,9 @@ BENCHMARK(BM_RelayHotPath);
 // kernel: every tun read is copied into a pooled buffer, hops the
 // TunReader->lane queue, is lane-dispatched by flow hash, looked up in the
 // flow table, parsed, run through the state machine, and the stamped reply
-// hops the lane->TunWriter queue. Both variants below run that full
+// hops the lane->TunWriter queue. Both hops are std::deque push/pop, the
+// container the engine's ReadQueue and TunWriter use; no lock, because the
+// lanes are actors on one loop thread. Both variants below run that full
 // iteration and draw the same lognormal stage-cost samples the engine's
 // DelayModels produce; the telemetry variant additionally performs the three
 // per-segment stage observations (dispatch, parse, tcp) the engine adds with
@@ -217,8 +217,8 @@ struct RelayIterationFixture {
   std::vector<uint8_t> payload = std::vector<uint8_t>(1460, 0x55);
   moppkt::FlowKey flow = BenchFlow();
   moppkt::BufPool pool;
-  mopcc::PacketQueue<moppkt::PacketBuf> read_q{mopcc::PutMode::kNewPut};
-  mopcc::PacketQueue<moppkt::PacketBuf> write_q{mopcc::PutMode::kNewPut};
+  std::deque<moppkt::PacketBuf> read_q;
+  std::deque<moppkt::PacketBuf> write_q;
   std::unordered_map<moppkt::FlowKey, int, moppkt::FlowKeyHash> flows;
   std::vector<uint8_t> wire;
   moppkt::TcpPacketTemplate tmpl{flow.remote.ip, flow.local.ip, flow.remote.port,
@@ -272,8 +272,9 @@ struct RelayIterationFixture {
     size_t it = 0;
     for (auto _ : state) {
       moppkt::PacketBuf in = pool.AcquireCopy(wire);  // tun read -> pooled buf
-      read_q.Put(std::move(in));                      // TunReader -> lane hop
-      moppkt::PacketBuf pkt = std::move(*read_q.TryTake());
+      read_q.push_back(std::move(in));                // TunReader -> lane hop
+      moppkt::PacketBuf pkt = std::move(read_q.front());
+      read_q.pop_front();
       size_t lane = moppkt::FlowLaneOf(flow, 4);  // flow-affine dispatch
       benchmark::DoNotOptimize(lane);             // the engine computes this either way
       auto fit = flows.find(flow);                // per-packet flow-table lookup
@@ -286,8 +287,9 @@ struct RelayIterationFixture {
       moppkt::PacketBuf out = pool.Acquire();
       out.set_size(tmpl.Emit(sm.snd_nxt(), sm.rcv_nxt(), moppkt::AckFlag(), 65535,
                              ip_id++, {}, out.writable()));
-      write_q.Put(std::move(out));  // lane -> TunWriter hop
-      moppkt::PacketBuf flushed = std::move(*write_q.TryTake());
+      write_q.push_back(std::move(out));  // lane -> TunWriter hop
+      moppkt::PacketBuf flushed = std::move(write_q.front());
+      write_q.pop_front();
       benchmark::DoNotOptimize(flushed.bytes().data());
       // The engine samples its three stage costs whether or not telemetry is
       // on; both variants consume them, only one observes them.
@@ -428,48 +430,6 @@ void BM_TcpStateMachineRelay(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpStateMachineRelay);
 
-// Real-thread producer put() cost with a live consumer: the Table 1
-// algorithms under genuine contention.
-void BM_QueuePut(benchmark::State& state) {
-  mopcc::PutMode mode =
-      state.range(0) == 0 ? mopcc::PutMode::kOldPut : mopcc::PutMode::kNewPut;
-  mopcc::PacketQueue<int> q(mode, 20000);
-  std::thread consumer([&q] {
-    while (q.Take().has_value()) {
-    }
-  });
-  int i = 0;
-  for (auto _ : state) {
-    q.Put(i++);
-  }
-  state.counters["consumer_waits"] = static_cast<double>(q.waits());
-  q.Stop();
-  consumer.join();
-}
-BENCHMARK(BM_QueuePut)->Arg(0)->Arg(1)->ArgNames({"newput"});
-
-// Burst drain cost: popping a 64-packet burst one Take at a time (64 lock
-// round-trips) vs one TakeAll swap (a single round-trip) — the writev-style
-// drain the TunWriter uses.
-void BM_QueueDrainBurst(benchmark::State& state) {
-  constexpr int kBurst = 64;
-  bool batched = state.range(0) != 0;
-  mopcc::PacketQueue<int> q(mopcc::PutMode::kNewPut);
-  for (auto _ : state) {
-    for (int i = 0; i < kBurst; ++i) {
-      q.Put(i);
-    }
-    if (batched) {
-      benchmark::DoNotOptimize(q.TryTakeAll());
-    } else {
-      while (q.TryTake().has_value()) {
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(BM_QueueDrainBurst)->Arg(0)->Arg(1)->ArgNames({"takeall"});
-
 // The gather-tail coalescing decision (thread model v4): for each emitted
 // pure ACK, compare its GatherMeta against the buffer tail and either
 // replace the tail (same flow, superseded cumulative ACK) or append. Arg 0
@@ -552,28 +512,6 @@ void BM_QueueFlush(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBurst);
 }
 BENCHMARK(BM_QueueFlush)->Arg(1)->Arg(8)->ArgNames({"queues"});
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  mopcc::SpscRing<int> ring(4096);
-  std::atomic<bool> stop{false};
-  std::thread consumer([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      benchmark::DoNotOptimize(ring.Pop());
-    }
-    while (ring.Pop().has_value()) {
-    }
-  });
-  int i = 0;
-  for (auto _ : state) {
-    while (!ring.Push(i)) {
-      std::this_thread::yield();
-    }
-    ++i;
-  }
-  stop.store(true, std::memory_order_release);
-  consumer.join();
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 }  // namespace
 

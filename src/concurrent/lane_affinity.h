@@ -1,19 +1,18 @@
 // Debug-only lane-affinity runtime checker.
 //
 // The sharded relay's core invariant — a flow's state is only ever touched by
-// its owning lane, a ring's producer/consumer ends never migrate threads —
-// used to live in comments. LaneAffinityChecker turns it into a runtime
-// assertion: a piece of lane-owned state embeds a checker, every access calls
-// Check(), and the first access stamps the owner. A later access from a
-// different context aborts with both identities in the message.
+// its owning lane — used to live in comments. LaneAffinityChecker turns it
+// into a runtime assertion: a piece of lane-owned state embeds a checker,
+// every access calls Check(), and the first access stamps the owner. A later
+// access from a different context aborts with both identities in the message.
 //
-// "Context" is deliberately two-level, because the repo runs the same
-// algorithms in two worlds:
-//  * Real threads (concurrent/ primitives, tests, benches): the context is
-//    the thread id.
+// "Context" is two-level:
 //  * Virtual-time lanes (engine WorkerLanes, collector ingest lanes — many
 //    lanes multiplexed onto one real thread): a LaneScope on the stack names
-//    the lane currently executing, and overrides the thread id while alive.
+//    the lane currently executing.
+//  * Outside any LaneScope (the TunReader's dispatch, the TunWriter's pump):
+//    the context is the thread id, so a second real thread touching the
+//    state is caught too.
 //
 // Cost: compiled out entirely in NDEBUG builds (empty classes, no members) so
 // Release behavior and the checked-in bench baselines cannot drift.
@@ -73,8 +72,7 @@ class LaneScope {
 };
 
 // Embed in lane-owned state; call Check() on every access path. First call
-// binds the owner; mismatching later calls abort. Rebind() hands ownership
-// to the next accessor (explicit transfer points only: restart, teardown).
+// binds the owner; mismatching later calls abort.
 class LaneAffinityChecker {
  public:
   void Check() const {
@@ -88,8 +86,6 @@ class LaneAffinityChecker {
         << " accessed from context " << cur
         << (cur & 1 ? " (lane scope)" : " (raw thread)");
   }
-
-  void Rebind() { owner_.store(0, std::memory_order_relaxed); }
 
   bool bound() const { return owner_.load(std::memory_order_relaxed) != 0; }
 
@@ -109,7 +105,6 @@ class LaneScope {
 class LaneAffinityChecker {
  public:
   void Check() const {}
-  void Rebind() {}
   bool bound() const { return false; }
 };
 

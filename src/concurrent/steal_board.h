@@ -7,9 +7,8 @@
 // tokens through the read queues. The board itself carries no synchronization:
 // lanes are virtual-time actors multiplexed on one event-loop thread, and a
 // slot is written by exactly one lane and cleared by exactly one consumer, so
-// every access is loop-thread confined. Promoting lanes to real threads would
-// need these slots to become seqlock'd or per-lane SPSC — the template is the
-// seam where that lands.
+// every access is loop-thread confined. Lanes on real threads would need each
+// slot to synchronize its one writer with its one reader (a seqlock, say).
 //
 // The template keeps this layer free of packet types: concurrent/ depends
 // only on util/, and the flow key is the caller's business.

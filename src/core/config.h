@@ -57,7 +57,9 @@ struct CostModels {
   // DNS message parse + UDP socket setup in the DNS thread.
   std::shared_ptr<moputil::DelayModel> dns_process;
   // Marginal cost of each additional packet in a batched (writev-style)
-  // tunnel write burst; only sampled when Config::worker_lanes > 1.
+  // tunnel write burst. Sampled by the TunWriter when Config::worker_lanes
+  // > 1, and by every lane's gathered flush whenever Config::lane_tun_write
+  // is on, one lane included (table3 --lanes=1).
   std::shared_ptr<moputil::DelayModel> tun_write_batch_extra;
   // Marginal cost of each additional packet in a batched (readv/recvmmsg
   // style) tunnel read burst; only sampled when Config::tun_read_batch > 1.

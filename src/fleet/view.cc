@@ -84,16 +84,4 @@ void FleetView::MergeSource(const AggregateStore& store, const Interner& src_app
   });
 }
 
-AggregateKey FleetView::MakeKey(const std::string& app, const std::string& isp,
-                                const std::string& country, uint8_t net_type,
-                                uint8_t kind) const {
-  AggregateKey key;
-  key.app_id = app.empty() ? kAnyId : apps_.Find(app);
-  key.isp_id = isp.empty() ? kAnyId : isps_.Find(isp);
-  key.country_id = country.empty() ? kAnyId : countries_.Find(country);
-  key.net_type = net_type;
-  key.kind = kind;
-  return key;
-}
-
 }  // namespace mopfleet

@@ -56,16 +56,6 @@ class FleetView {
   // seq, so a device that failed over between collectors counts once).
   const mopcollect::HealthStore& health() const { return health_; }
 
-  // Key for an (app, isp, country, net, kind) query in the merged id
-  // spaces. Empty string = wildcard (rollup) component; a name no collector
-  // ever reported yields kNoneId, which matches nothing.
-  mopcollect::AggregateKey MakeKey(const std::string& app, const std::string& isp,
-                                   const std::string& country, uint8_t net_type,
-                                   uint8_t kind) const;
-  const mopcollect::AggregateEntry* Find(const mopcollect::AggregateKey& key) const {
-    return merged_.Find(key);
-  }
-
   // Fig. 9 / Fig. 11-style fleet-wide stats (log-bucket quantiles).
   std::vector<mopcollect::AppStat> TcpAppStats(size_t min_count = 1) const {
     return TcpAppStatsOf(merged_, apps_, min_count);

@@ -83,8 +83,9 @@ class PacketBuf {
   size_t size_ = 0;
 };
 
-// Fixed-capacity-slab free-list pool. Thread-safe (the real-thread queue
-// tests and benches may move PacketBufs across threads). Slabs above
+// Fixed-capacity-slab free-list pool. Thread-safe: a PacketBuf may be
+// acquired on one thread and released on another
+// (BufPool.ConcurrentAcquireReleaseBalances). Slabs above
 // `slab_capacity` are served as one-shot heap allocations and freed on
 // release rather than pooled.
 class BufPool {

@@ -21,9 +21,10 @@ std::atomic<void (*)(const char*, void*)> g_test_sink{nullptr};
 std::atomic<void*> g_test_sink_arg{nullptr};
 thread_local const char* g_lane_token = nullptr;
 
-// Serializes the final stderr write so messages from concurrent threads
-// (worker lanes, real-thread tests) never interleave mid-line. Function-local
-// static: safe to log during static init/teardown of other objects.
+// Serializes the final sink write so lines logged from concurrent threads
+// never interleave mid-line (Logging.ConcurrentWritersDeliverWholeLines).
+// Function-local static: safe to log during static init/teardown of other
+// objects.
 Mutex& SinkMutex() {
   static Mutex mu;
   return mu;

@@ -1,25 +1,24 @@
 // Clang thread-safety annotations and the annotated mutex wrapper.
 //
-// The relay stack is genuinely concurrent (N worker lanes, a TunReader, a
-// TunWriter, collector ingest lanes), so its locking discipline is machine
-// checked instead of living in comments: every mutex-protected member is
-// declared MOP_GUARDED_BY its mutex and every locking function declares what
-// it acquires. Under Clang the `-Wthread-safety` warning group (enabled
-// together with -Werror by the build) turns a mis-locked access into a build
-// break; under GCC the attributes expand to nothing and the code compiles
-// unchanged.
+// The relay's threads are ActorLanes on one EventLoop thread, so almost no
+// state needs a lock. What does is state any thread can reach: a BufPool's
+// free list, the telemetry histogram cell-table cache, and the log sink.
+// Their locking discipline is machine checked instead of living in comments:
+// every mutex-protected member is declared MOP_GUARDED_BY its mutex. Under
+// Clang the `-Wthread-safety` warning group (enabled together with -Werror by
+// the build) turns a mis-locked access into a build break; under GCC the
+// attributes expand to nothing and the code compiles unchanged.
 //
 // Rules (enforced by tools/moplint):
 //  * Raw std::mutex / std::condition_variable members are banned outside this
-//    header — use moputil::Mutex / moputil::CondVar so the capability
-//    annotations are never lost.
+//    header — use moputil::Mutex so the capability annotations are never
+//    lost. Nothing in the tree blocks on a condition, so there is no
+//    condition-variable wrapper.
 //  * Lock with moputil::MutexLock (scoped); bare Lock()/Unlock() pairs are
 //    for the rare hand-over-hand case only.
 #ifndef MOPEYE_UTIL_THREAD_ANNOTATIONS_H_
 #define MOPEYE_UTIL_THREAD_ANNOTATIONS_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 // Clang exposes the analysis attributes; other compilers see empty macros.
@@ -34,41 +33,14 @@
 // Declares an RAII type whose lifetime holds a capability.
 #define MOP_SCOPED_CAPABILITY MOP_THREAD_ANNOTATION__(scoped_lockable)
 
-// Data members: reads/writes require holding the named mutex (or the pointee
-// for MOP_PT_GUARDED_BY).
+// Data members: reads/writes require holding the named mutex.
 #define MOP_GUARDED_BY(x) MOP_THREAD_ANNOTATION__(guarded_by(x))
-#define MOP_PT_GUARDED_BY(x) MOP_THREAD_ANNOTATION__(pt_guarded_by(x))
-
-// Functions: caller must hold / must not hold the named mutexes.
-#define MOP_REQUIRES(...) \
-  MOP_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define MOP_REQUIRES_SHARED(...) \
-  MOP_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
-#define MOP_EXCLUDES(...) MOP_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
 
 // Functions that acquire/release capabilities as a side effect.
 #define MOP_ACQUIRE(...) MOP_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-#define MOP_ACQUIRE_SHARED(...) \
-  MOP_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 #define MOP_RELEASE(...) MOP_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define MOP_RELEASE_SHARED(...) \
-  MOP_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-#define MOP_TRY_ACQUIRE(...) \
-  MOP_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-
-// Returns a reference to the named capability (accessor functions).
-#define MOP_RETURN_CAPABILITY(x) MOP_THREAD_ANNOTATION__(lock_returned(x))
-// Runtime assertion that the capability is held (for code the analysis
-// cannot follow, e.g. callbacks invoked under a caller's lock).
-#define MOP_ASSERT_CAPABILITY(x) \
-  MOP_THREAD_ANNOTATION__(assert_capability(x))
-// Escape hatch; every use needs a comment saying why the analysis is wrong.
-#define MOP_NO_THREAD_SAFETY_ANALYSIS \
-  MOP_THREAD_ANNOTATION__(no_thread_safety_analysis)
 
 namespace moputil {
-
-class CondVar;
 
 // std::mutex with the capability annotation, so members can be declared
 // MOP_GUARDED_BY(mu_) and locking functions MOP_ACQUIRE(mu_). Same cost as
@@ -81,10 +53,8 @@ class MOP_CAPABILITY("mutex") Mutex {
 
   void Lock() MOP_ACQUIRE() { mu_.lock(); }
   void Unlock() MOP_RELEASE() { mu_.unlock(); }
-  bool TryLock() MOP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -99,42 +69,6 @@ class MOP_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Condition variable over the annotated Mutex. No predicate overloads on
-// purpose: `while (!ready_) cv_.Wait(mu_);` keeps the guarded reads in a
-// scope the thread-safety analysis can see (a predicate lambda would not be
-// analyzed as lock-held).
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  // Atomically releases `mu`, waits, and reacquires it before returning.
-  // Spurious wakeups happen; always wait in a loop.
-  void Wait(Mutex& mu) MOP_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    cv_.wait(lk);
-    lk.release();
-  }
-
-  // As Wait, bounded by `deadline`. Returns false if the deadline passed
-  // (the caller re-checks its predicate either way).
-  template <typename Clock, typename Duration>
-  bool WaitUntil(Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      MOP_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    std::cv_status status = cv_.wait_until(lk, deadline);
-    lk.release();
-    return status == std::cv_status::no_timeout;
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace moputil

@@ -1,379 +1,13 @@
-// Real-thread tests for the mopcc primitives: correctness under genuine
-// contention, and the oldPut/newPut behavioral difference the paper's Table 1
-// is about.
+// Tests for the mopcc lane primitives: the elephant-flow steal board and the
+// Debug-only lane-affinity checker, including its cross-thread death check.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
 #include <thread>
-#include <vector>
 
 #include "concurrent/lane_affinity.h"
-#include "concurrent/lane_dispatch.h"
-#include "concurrent/packet_queue.h"
-#include "concurrent/spsc_ring.h"
 #include "concurrent/steal_board.h"
-#include "concurrent/wakeup_gate.h"
 
 namespace {
-
-using mopcc::PacketQueue;
-using mopcc::PutMode;
-using mopcc::SpscRing;
-using mopcc::WakeupGate;
-
-TEST(PacketQueue, FifoSingleThread) {
-  PacketQueue<int> q(PutMode::kOldPut);
-  q.Put(1);
-  q.Put(2);
-  q.Put(3);
-  EXPECT_EQ(q.TryTake().value(), 1);
-  EXPECT_EQ(q.TryTake().value(), 2);
-  EXPECT_EQ(q.TryTake().value(), 3);
-  EXPECT_FALSE(q.TryTake().has_value());
-}
-
-TEST(PacketQueue, StopUnblocksConsumer) {
-  PacketQueue<int> q(PutMode::kOldPut);
-  std::thread consumer([&] {
-    auto item = q.Take();
-    EXPECT_FALSE(item.has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Stop();
-  consumer.join();
-}
-
-TEST(PacketQueue, TakeAllDrainsWholeBurstInOrder) {
-  PacketQueue<int> q(PutMode::kOldPut);
-  for (int i = 0; i < 10; ++i) {
-    q.Put(i);
-  }
-  auto batch = q.TakeAll();
-  ASSERT_EQ(batch.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(batch[static_cast<size_t>(i)], i);
-  }
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.TryTakeAll().empty());
-}
-
-TEST(PacketQueue, TakeAllBlocksUntilWorkOrStop) {
-  PacketQueue<int> q(PutMode::kOldPut);
-  std::thread consumer([&] {
-    auto first = q.TakeAll();
-    EXPECT_FALSE(first.empty());  // woke for the delayed Put
-    auto after_stop = q.TakeAll();
-    EXPECT_TRUE(after_stop.empty());  // Stop with nothing queued
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Put(42);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Stop();
-  consumer.join();
-}
-
-TEST(PacketQueue, BatchedConsumerLosesNothingUnderProducers) {
-  // Multi-producer no-loss with the writev-style consumer: every item shows
-  // up exactly once across TakeAll batches, per-producer order preserved.
-  PacketQueue<std::pair<int, int>> q(PutMode::kNewPut, 2000);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  std::vector<int> seen_next(kProducers, 0);
-  std::atomic<int> total{0};
-  std::thread consumer([&] {
-    while (true) {
-      auto batch = q.TakeAll();
-      if (batch.empty()) {
-        return;  // stopped and drained
-      }
-      for (auto& [producer, value] : batch) {
-        EXPECT_EQ(value, seen_next[static_cast<size_t>(producer)]++);
-        total.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        q.Put({p, i});
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  while (q.size() > 0) {
-    std::this_thread::yield();
-  }
-  q.Stop();
-  consumer.join();
-  EXPECT_EQ(total.load(), kProducers * kPerProducer);
-}
-
-class PacketQueueModes : public ::testing::TestWithParam<PutMode> {};
-
-TEST_P(PacketQueueModes, NoLossUnderConcurrentProducers) {
-  PacketQueue<int> q(GetParam());
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  std::atomic<int64_t> sum{0};
-  std::atomic<int> received{0};
-  std::thread consumer([&] {
-    while (true) {
-      auto item = q.Take();
-      if (!item.has_value()) {
-        return;
-      }
-      sum += *item;
-      ++received;
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        q.Put(p * kPerProducer + i);
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  while (received.load() < kProducers * kPerProducer) {
-    std::this_thread::yield();
-  }
-  q.Stop();
-  consumer.join();
-  int64_t expect = 0;
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    expect += i;
-  }
-  EXPECT_EQ(sum.load(), expect);
-}
-
-TEST_P(PacketQueueModes, OrderPreservedPerProducer) {
-  PacketQueue<std::pair<int, int>> q(GetParam());
-  constexpr int kPerProducer = 3000;
-  // The main thread spin-reads last_seen while the consumer writes it, so
-  // both must be atomic (TSan flagged the original plain int version).
-  std::array<std::atomic<int>, 2> last_seen = {-1, -1};
-  std::atomic<bool> order_ok = true;
-  std::thread consumer([&] {
-    while (true) {
-      auto item = q.Take();
-      if (!item.has_value()) {
-        return;
-      }
-      auto [producer, seq] = *item;
-      auto& slot = last_seen[static_cast<size_t>(producer)];
-      if (seq <= slot.load(std::memory_order_relaxed)) {
-        order_ok = false;
-      }
-      slot.store(seq, std::memory_order_relaxed);
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 2; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        q.Put({p, i});
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  while (last_seen[0].load() < kPerProducer - 1 ||
-         last_seen[1].load() < kPerProducer - 1) {
-    std::this_thread::yield();
-  }
-  q.Stop();
-  consumer.join();
-  EXPECT_TRUE(order_ok);
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, PacketQueueModes,
-                         ::testing::Values(PutMode::kOldPut, PutMode::kNewPut));
-
-TEST(PacketQueue, NewPutParksLessThanOldPut) {
-  // Bursty producer: packets in clusters with sub-spin gaps. The oldPut
-  // consumer parks between every burst; the newPut consumer's spin window
-  // rides across the gaps.
-  auto run = [](PutMode mode) {
-    PacketQueue<int> q(mode, /*spin_rounds=*/20000);
-    std::thread consumer([&q] {
-      while (q.Take().has_value()) {
-      }
-    });
-    for (int burst = 0; burst < 50; ++burst) {
-      for (int i = 0; i < 20; ++i) {
-        q.Put(i);
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    // Give the consumer time to drain, then stop.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.Stop();
-    consumer.join();
-    return q.waits();
-  };
-  uint64_t old_waits = run(PutMode::kOldPut);
-  uint64_t new_waits = run(PutMode::kNewPut);
-  EXPECT_LT(new_waits, old_waits);
-}
-
-TEST(SpscRing, PushPopBasics) {
-  SpscRing<int> ring(8);
-  EXPECT_TRUE(ring.Empty());
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(ring.Push(i));
-  }
-  // Capacity is rounded to >= 8 usable slots; eventually Push fails.
-  int extra = 0;
-  while (ring.Push(100 + extra)) {
-    ++extra;
-  }
-  int expect = 0;
-  while (auto v = ring.Pop()) {
-    if (expect < 8) {
-      EXPECT_EQ(*v, expect);
-    }
-    ++expect;
-  }
-  EXPECT_TRUE(ring.Empty());
-}
-
-TEST(SpscRing, StressProducerConsumer) {
-  SpscRing<uint32_t> ring(1024);
-  constexpr uint32_t kCount = 2'000'000;
-  std::atomic<bool> done{false};
-  uint64_t sum = 0;
-  std::thread consumer([&] {
-    uint32_t received = 0;
-    while (received < kCount) {
-      auto v = ring.Pop();
-      if (v.has_value()) {
-        sum += *v;
-        ++received;
-      } else if (done.load(std::memory_order_acquire) && ring.Empty()) {
-        break;
-      }
-    }
-  });
-  for (uint32_t i = 0; i < kCount; ++i) {
-    while (!ring.Push(i)) {
-      std::this_thread::yield();
-    }
-  }
-  done.store(true, std::memory_order_release);
-  consumer.join();
-  EXPECT_EQ(sum, static_cast<uint64_t>(kCount - 1) * kCount / 2);
-}
-
-TEST(WakeupGate, CoalescesSignals) {
-  WakeupGate gate;
-  gate.Wakeup();
-  gate.Wakeup();
-  gate.Wakeup();
-  EXPECT_EQ(gate.coalesced(), 2u);  // two of three folded into the pending one
-  EXPECT_TRUE(gate.Wait(std::chrono::milliseconds(10)));
-  // Pending was consumed; next wait times out.
-  EXPECT_FALSE(gate.Wait(std::chrono::milliseconds(5)));
-}
-
-TEST(WakeupGate, CrossThreadSignal) {
-  WakeupGate gate;
-  std::thread signaler([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    gate.Wakeup();
-  });
-  EXPECT_TRUE(gate.Wait(std::chrono::seconds(5)));
-  signaler.join();
-}
-
-// ---- LaneDispatcher: flow-affine sharding under real contention ----
-
-TEST(LaneDispatcher, RoutesByFlowHashModuloLanes) {
-  mopcc::LaneDispatcher<int> d(4);
-  EXPECT_EQ(d.lanes(), 4u);
-  d.Put(0, 10);
-  d.Put(1, 11);
-  d.Put(5, 12);   // 5 % 4 == 1: same lane as hash 1
-  d.Put(7, 13);
-  EXPECT_EQ(d.queue(0).TryTake().value(), 10);
-  EXPECT_EQ(d.queue(1).TryTake().value(), 11);
-  EXPECT_EQ(d.queue(1).TryTake().value(), 12);
-  EXPECT_EQ(d.queue(3).TryTake().value(), 13);
-  EXPECT_FALSE(d.queue(2).TryTake().has_value());
-}
-
-TEST(LaneDispatcher, FlowOrderPreservedAndSingleLanePerFlow) {
-  // 3 producers x 12 flows funneled into 4 lane consumers: every flow must
-  // be drained by exactly one lane, in the order its packets were Put — the
-  // property the engine's sharded relay relies on.
-  constexpr int kFlows = 12;
-  constexpr int kPerFlow = 500;
-  constexpr size_t kLanes = 4;
-  struct Item {
-    int flow;
-    int seq;
-  };
-  mopcc::LaneDispatcher<Item> d(kLanes, PutMode::kNewPut, /*spin_rounds=*/256);
-
-  std::vector<std::vector<Item>> drained(kLanes);
-  std::vector<std::thread> consumers;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    consumers.emplace_back([&, lane] {
-      while (auto item = d.queue(lane).Take()) {
-        drained[lane].push_back(*item);
-      }
-    });
-  }
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&, p] {
-      // Each producer owns a disjoint set of flows (a real packet source
-      // never emits one flow from two threads).
-      for (int seq = 0; seq < kPerFlow; ++seq) {
-        for (int flow = p; flow < kFlows; flow += 3) {
-          d.Put(static_cast<uint64_t>(flow) * 0x9e3779b97f4a7c15ULL,
-                Item{flow, seq});
-        }
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  d.Stop();
-  for (auto& t : consumers) {
-    t.join();
-  }
-
-  std::vector<int> lane_of_flow(kFlows, -1);
-  std::vector<int> next_seq(kFlows, 0);
-  size_t total = 0;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    for (const Item& item : drained[lane]) {
-      ++total;
-      if (lane_of_flow[item.flow] == -1) {
-        lane_of_flow[item.flow] = static_cast<int>(lane);
-      }
-      // Affinity: a flow never appears on a second lane.
-      EXPECT_EQ(lane_of_flow[item.flow], static_cast<int>(lane))
-          << "flow " << item.flow << " seen on two lanes";
-      // Per-flow FIFO survives the multi-producer fan-in.
-      EXPECT_EQ(next_seq[item.flow], item.seq) << "flow " << item.flow;
-      ++next_seq[item.flow];
-    }
-  }
-  EXPECT_EQ(total, static_cast<size_t>(kFlows) * kPerFlow);
-}
-
-
 
 // ---- StealBoard: one-slot-per-lane elephant-flow publication board ----
 
@@ -450,17 +84,6 @@ TEST(LaneAffinity, LaneScopeNestingRestoresOuterLane) {
   outer.Check();  // would abort if the inner scope leaked its token
 }
 
-TEST(LaneAffinity, RebindTransfersOwnership) {
-  mopcc::LaneAffinityChecker checker;
-  {
-    mopcc::LaneScope scope(1);
-    checker.Check();
-  }
-  checker.Rebind();
-  mopcc::LaneScope scope(2);
-  checker.Check();
-}
-
 TEST(LaneAffinityDeathTest, CrossLaneAccessAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   mopcc::LaneAffinityChecker checker;
@@ -481,22 +104,6 @@ TEST(LaneAffinityDeathTest, CrossThreadAccessAborts) {
   mopcc::LaneAffinityChecker checker;
   checker.Check();  // binds to this thread
   EXPECT_DEATH(std::thread([&] { checker.Check(); }).join(),
-               "lane-affinity violation");
-}
-
-TEST(SpscRingDeathTest, ProducerMigrationAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SpscRing<int> ring(8);
-  EXPECT_TRUE(ring.Push(1));
-  EXPECT_DEATH(std::thread([&] { ring.Push(2); }).join(),
-               "lane-affinity violation");
-}
-
-TEST(LaneDispatcherDeathTest, ConsumerMigrationAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  mopcc::LaneDispatcher<int> d(2, PutMode::kNewPut, /*spin_rounds=*/0);
-  (void)d.queue(0);  // binds lane 0's consumer end to this thread
-  EXPECT_DEATH(std::thread([&] { (void)d.queue(0); }).join(),
                "lane-affinity violation");
 }
 

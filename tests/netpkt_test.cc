@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
+#include <vector>
 
 #include "core/tcp_state_machine.h"
 #include "netpkt/checksum.h"
@@ -753,6 +755,72 @@ TEST(BufPool, DeepCopiesAreCounted) {
   moppkt::PacketBuf c = std::move(a);  // move: not a copy
   EXPECT_EQ(pool.stats().copies, before + 1);
   EXPECT_EQ(c.size(), 3u);
+}
+
+TEST(BufPool, ConcurrentAcquireReleaseBalances) {
+  // Four threads share one pool, and every thread releases buffers another
+  // thread acquired. The pool's lock must keep the free list and its stats
+  // exact; under TSan this is the pool's race check. Each holder stamps its
+  // buffers and checks the stamp before release, so a slab handed to two
+  // holders at once shows up as a torn stamp.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kHeld = 64;    // buffers each thread passes to a neighbour
+  constexpr int kChurn = 2000;    // acquire/release pairs per thread per phase
+  constexpr size_t kMaxFree = 32;  // below the peak, so releases also free
+  moppkt::BufPool pool(2048, kMaxFree);
+  std::atomic<int> torn{0};
+
+  auto stamp = [](moppkt::PacketBuf& buf, uint8_t id) { buf.Assign({&id, 1}); };
+  auto stamped = [](const moppkt::PacketBuf& buf, uint8_t id) {
+    return buf.size() == 1 && buf.data()[0] == id;
+  };
+  auto churn_once = [&](uint8_t id) {
+    moppkt::PacketBuf buf = pool.Acquire();
+    stamp(buf, id);
+    if (!stamped(buf, id)) torn.fetch_add(1, std::memory_order_relaxed);
+  };
+
+  // Phase 1: every thread churns and parks kHeld stamped buffers.
+  std::vector<std::vector<moppkt::PacketBuf>> held(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto id = static_cast<uint8_t>(t + 1);
+      for (int i = 0; i < kChurn; ++i) {
+        churn_once(id);
+        if (static_cast<size_t>(i) < kHeld) {
+          held[t].push_back(pool.Acquire());
+          stamp(held[t].back(), id);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  threads.clear();
+  EXPECT_EQ(pool.stats().in_use, kThreads * kHeld);
+
+  // Phase 2: every thread releases its neighbour's buffers while churning.
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      size_t peer = (t + 1) % kThreads;
+      auto peer_id = static_cast<uint8_t>(peer + 1);
+      for (int i = 0; i < kChurn; ++i) {
+        churn_once(static_cast<uint8_t>(t + 1));
+        if (static_cast<size_t>(i) < kHeld) {
+          moppkt::PacketBuf gone = std::move(held[peer][static_cast<size_t>(i)]);
+          if (!stamped(gone, peer_id)) torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  moppkt::BufPool::Stats s = pool.stats();
+  EXPECT_EQ(s.acquires, kThreads * (2 * kChurn + kHeld));
+  EXPECT_EQ(s.acquires, s.releases);
+  EXPECT_EQ(s.in_use, 0u);
+  EXPECT_LE(s.free_count, kMaxFree);
 }
 
 // ---- TcpPacketTemplate ----

@@ -1,5 +1,6 @@
 // moptel unit tests: lane-sharded merge exactness (run under TSan with real
-// concurrent writers), histogram-vs-LogQuantile bit-equivalence, flight
+// concurrent writers), histogram-vs-LogQuantile bit-equivalence, the shared
+// cell-table cache and the log sink under concurrent threads, flight
 // recorder ring semantics and the fatal dump hook, the text exposition
 // golden, and the zero-steady-state-allocation guarantee the hot-path
 // instrumentation is built on.
@@ -10,6 +11,7 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -337,6 +339,29 @@ TEST(Histogram, SameGeometryInstancesShareOneCellTable) {
   }
   EXPECT_EQ(b.Count(), 1000u);
   EXPECT_EQ(other.Count(), 1000u);
+
+  // First use of a precision from several threads at once: the builders race
+  // in the table cache, and every instance must come away with one table.
+  constexpr size_t kThreads = 4;
+  constexpr double kFreshRelErr = 0.03;  // no other test in this binary uses it
+  std::atomic<bool> go{false};
+  std::vector<const void*> ids(kThreads, nullptr);
+  std::vector<std::thread> builders;
+  for (size_t t = 0; t < kThreads; ++t) {
+    builders.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      moptel::Histogram h(1, kFreshRelErr);
+      ids[t] = h.cell_table_id();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : builders) th.join();
+  ASSERT_NE(ids[0], nullptr);
+  for (const void* id : ids) EXPECT_EQ(id, ids[0]);
+  EXPECT_NE(ids[0], a.cell_table_id());
+  EXPECT_NE(ids[0], other.cell_table_id());
+  moptel::Histogram late(1, kFreshRelErr);
+  EXPECT_EQ(late.cell_table_id(), ids[0]);
 }
 
 // ---- Flight recorder ----
@@ -547,6 +572,50 @@ TEST(Logging, ClockAndLaneTokenPrefixesRenderWhenInstalled) {
   moputil::SetLogLevel(prev_level);
   EXPECT_EQ(plain.text.find("t="), std::string::npos) << plain.text;
   EXPECT_NE(plain.text.find("[I "), std::string::npos) << plain.text;
+}
+
+void CaptureLines(const char* line, void* arg) {
+  static_cast<std::vector<std::string>*>(arg)->emplace_back(line);
+}
+
+TEST(Logging, ConcurrentWritersDeliverWholeLines) {
+  // The sink lock serializes delivery: CaptureLines appends to one vector
+  // with no lock of its own, so under TSan an unserialized sink is a race.
+  constexpr int kThreads = 4;
+  constexpr int kLinesPerThread = 200;
+  const std::string body(120, 'x');
+  moputil::LogLevel prev_level = moputil::GetLogLevel();
+  moputil::SetLogLevel(moputil::LogLevel::kInfo);
+  std::vector<std::string> lines;
+  moputil::SetLogSinkForTest(&CaptureLines, &lines);
+
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kLinesPerThread; ++i) {
+        MOP_LOG(Info) << "writer=" << t << " line=" << i << " " << body;
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  moputil::SetLogSinkForTest(nullptr, nullptr);
+  moputil::SetLogLevel(prev_level);
+
+  // Every line arrives once, whole: prefix, then exactly one message.
+  std::vector<std::string> got;
+  for (const std::string& line : lines) {
+    ASSERT_EQ(line.rfind("[I ", 0), 0u) << line;
+    got.push_back(line.substr(line.find("] ") + 2));
+  }
+  std::vector<std::string> want;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kLinesPerThread; ++i) {
+      want.push_back("writer=" + std::to_string(t) + " line=" + std::to_string(i) + " " + body);
+    }
+  }
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """moplint: dependency-free repo lint for MopEye's thread-correctness rules.
 
-Three rule families, each of which used to be enforced only by reviewer
-memory (ROADMAP standing rules) and now fails CI:
+Four rule families, each of which used to be enforced only by convention
+(ROADMAP standing rules) and now fails CI:
 
   owner-capture  Persistent callback members must not strongly capture their
                  owner. Flags `obj->member = [obj]...` / `obj.member = [obj]...`
@@ -12,14 +12,15 @@ memory (ROADMAP standing rules) and now fails CI:
                  shared_from_this() assigned to a member.
 
   layering       The include DAG is util -> netpkt/sim/concurrent -> net ->
-                 android/core -> apps/baselines/crowd -> collector -> fleet.
+                 android/telemetry -> core -> apps/baselines/crowd ->
+                 collector -> fleet.
                  A file under src/<dir>/ may only include project headers from
                  <dir> itself or a (transitively) lower layer.
 
   raw-mutex      std::mutex / std::condition_variable / std::lock_guard and
                  friends are banned in src/ outside util/thread_annotations.h:
-                 the annotated moputil::Mutex / MutexLock / CondVar wrappers
-                 keep Clang -Wthread-safety analysis sound everywhere.
+                 the annotated moputil::Mutex / MutexLock wrappers keep
+                 Clang -Wthread-safety analysis sound everywhere.
 
   raw-counter    Ad-hoc `uint64_t foo_count_;` style tally members are banned
                  in src/ outside src/telemetry/: counters belong on the
@@ -248,7 +249,7 @@ def check_raw_mutex(relpath, text, raw_lines):
             findings.append(Finding(
                 relpath, idx, "raw-mutex",
                 f"{m.group(0)} is banned outside util/thread_annotations.h — "
-                "use moputil::Mutex / MutexLock / CondVar so the thread-safety "
+                "use moputil::Mutex / MutexLock so the thread-safety "
                 "annotations stay sound"))
     return findings
 

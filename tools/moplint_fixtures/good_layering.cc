@@ -3,6 +3,6 @@
 #include "net/selector.h"
 #include "netpkt/ip.h"
 #include "sim/event_loop.h"
-#include "concurrent/wakeup_gate.h"
+#include "concurrent/lane_affinity.h"
 #include "util/logging.h"
 #include <vector>

@@ -4,7 +4,6 @@
 
 struct Queue {
   moputil::Mutex mu;
-  moputil::CondVar cv;
   int depth MOP_GUARDED_BY(mu) = 0;
   void Bump() {
     moputil::MutexLock lock(mu);
