@@ -36,13 +36,4 @@ std::optional<PackageInfo> PackageManager::GetPackageByName(const std::string& p
   return GetPackageForUid(it->second);
 }
 
-std::vector<PackageInfo> PackageManager::InstalledPackages() const {
-  std::vector<PackageInfo> out;
-  out.reserve(by_uid_.size());
-  for (const auto& [uid, info] : by_uid_) {
-    out.push_back(info);
-  }
-  return out;
-}
-
 }  // namespace mopdroid

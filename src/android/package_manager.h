@@ -24,7 +24,6 @@ class PackageManager {
 
   std::optional<PackageInfo> GetPackageForUid(int uid) const;
   std::optional<PackageInfo> GetPackageByName(const std::string& package) const;
-  std::vector<PackageInfo> InstalledPackages() const;
   size_t size() const { return by_uid_.size(); }
 
  private:

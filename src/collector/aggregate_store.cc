@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <utility>
 
 #include "crowd/dataset.h"
 #include "util/hash.h"
@@ -45,15 +47,12 @@ void AggregateStore::MergeFrom(const AggregateStore& src,
   samples_folded_ += src.samples_folded_;
 }
 
-std::vector<std::pair<AggregateKey, const AggregateEntry*>> AggregateStore::Match(
-    const std::function<bool(const AggregateKey&)>& pred) const {
+std::vector<std::pair<AggregateKey, const AggregateEntry*>> AggregateStore::Entries() const {
   std::vector<std::pair<AggregateKey, const AggregateEntry*>> out;
+  out.reserve(key_count());
   for (const Shard& shard : shards_) {
     for (const auto& [packed, entry] : shard.entries) {
-      AggregateKey key = AggregateKey::Unpack(packed);
-      if (!pred || pred(key)) {
-        out.emplace_back(key, &entry);
-      }
+      out.emplace_back(AggregateKey::Unpack(packed), &entry);
     }
   }
   return out;
@@ -83,17 +82,19 @@ size_t AggregateStore::ApproxMemoryBytes() const {
 
 std::vector<AppStat> TcpAppStatsOf(const AggregateStore& store, const Interner& apps,
                                    size_t min_count) {
+  std::unordered_map<uint16_t, AggregateEntry> by_app;
+  for (const auto& [key, entry] : store.Entries()) {
+    if (key.kind == static_cast<uint8_t>(mopcrowd::RecordKind::kTcp)) {
+      by_app[key.app_id].MergeFrom(*entry);
+    }
+  }
   std::vector<AppStat> out;
-  auto entries = store.Match([](const AggregateKey& k) {
-    return k.app_id != kAnyId && k.isp_id == kAnyId && k.country_id == kAnyId &&
-           k.net_type == kAnyByte && k.kind == static_cast<uint8_t>(mopcrowd::RecordKind::kTcp);
-  });
-  for (const auto& [key, entry] : entries) {
-    if (entry->count() < min_count) {
+  for (const auto& [app, entry] : by_app) {
+    if (entry.count() < min_count) {
       continue;
     }
-    out.push_back({apps.Name(key.app_id), entry->count(), entry->median_ms(),
-                   entry->p95_ms(), entry->stats.mean()});
+    out.push_back({apps.Name(app), entry.count(), entry.median_ms(), entry.p95_ms(),
+                   entry.stats.mean()});
   }
   std::sort(out.begin(), out.end(), [](const AppStat& a, const AppStat& b) {
     return a.count != b.count ? a.count > b.count : a.app < b.app;
@@ -103,17 +104,19 @@ std::vector<AppStat> TcpAppStatsOf(const AggregateStore& store, const Interner& 
 
 std::vector<IspDnsStat> IspDnsStatsOf(const AggregateStore& store, const Interner& isps,
                                       size_t min_count) {
+  std::map<std::pair<uint16_t, uint8_t>, AggregateEntry> by_isp_net;
+  for (const auto& [key, entry] : store.Entries()) {
+    if (key.kind == static_cast<uint8_t>(mopcrowd::RecordKind::kDns)) {
+      by_isp_net[{key.isp_id, key.net_type}].MergeFrom(*entry);
+    }
+  }
   std::vector<IspDnsStat> out;
-  auto entries = store.Match([](const AggregateKey& k) {
-    return k.app_id == kAnyId && k.isp_id != kAnyId && k.net_type != kAnyByte &&
-           k.kind == static_cast<uint8_t>(mopcrowd::RecordKind::kDns);
-  });
-  for (const auto& [key, entry] : entries) {
-    if (entry->count() < min_count) {
+  for (const auto& [isp_net, entry] : by_isp_net) {
+    if (entry.count() < min_count) {
       continue;
     }
-    out.push_back({isps.Name(key.isp_id), key.net_type, entry->count(), entry->median_ms(),
-                   entry->p95_ms()});
+    out.push_back({isps.Name(isp_net.first), isp_net.second, entry.count(), entry.median_ms(),
+                   entry.p95_ms()});
   }
   std::sort(out.begin(), out.end(), [](const IspDnsStat& a, const IspDnsStat& b) {
     if (a.count != b.count) {

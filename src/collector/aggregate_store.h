@@ -1,18 +1,16 @@
 // Streaming aggregates over ingested crowd measurements.
 //
 // The collector never keeps the raw record stream in memory: each record
-// folds into per-key entries holding a count, Welford mean/variance, and a
-// log-bucket quantile sketch — O(1) memory per distinct key at millions of
-// records (the paper's 5.25M-record dataset collapses to a few thousand
-// keys). Keys are (app, isp, country, net_type, kind) global-interner ids;
-// wildcard components give pre-folded rollups (per-app across networks for
-// Fig. 9, per-ISP DNS for Fig. 11 / Table 6), so those queries read one
-// entry per row instead of merging at query time.
+// folds once into the entry for its key, holding a count, Welford
+// mean/variance, and a log-bucket quantile sketch — O(1) memory per distinct
+// key at millions of records (the paper's 5.25M-record dataset collapses to a
+// few thousand keys). Keys are (app, isp, country, net_type, kind)
+// global-interner ids. The per-app (Fig. 9) and per-ISP DNS (Fig. 11 /
+// Table 6) queries are group-bys over those keys: they merge the matching
+// entries at query time, which is exact because every entry merges exactly.
 //
 // Entries are partitioned into hash shards. Everything runs on one
-// deterministic event loop, so shards need no locks; a collector with
-// ingest lanes pins shard s to lane s % lanes (see ShardIndexOf), so lanes
-// never touch each other's maps.
+// deterministic event loop, so shards need no locks.
 #ifndef MOPEYE_COLLECTOR_AGGREGATE_STORE_H_
 #define MOPEYE_COLLECTOR_AGGREGATE_STORE_H_
 
@@ -27,21 +25,18 @@
 
 namespace mopcollect {
 
-// Global-id sentinels for aggregate keys. The collector's global id spaces
-// are Interner instances (collector/wire.h) shared with the wire tables:
-// kNoneId equals the wire's kNoIndex ("record carried no such string");
-// kAnyId marks a wildcard component of a rollup key (the interner caps at
-// kMaxTableEntries names, so neither value is ever a real id).
+// Global id of a key component the record did not carry. The collector's
+// global id spaces are Interner instances (collector/wire.h) shared with the
+// wire tables, and kNoneId equals the wire's kNoIndex (the interner caps at
+// kMaxTableEntries names, so it is never a real id).
 constexpr uint16_t kNoneId = kNoIndex;
-constexpr uint16_t kAnyId = 0xfffe;
-constexpr uint8_t kAnyByte = 0xfe;
 
 struct AggregateKey {
-  uint16_t app_id = kAnyId;
-  uint16_t isp_id = kAnyId;
-  uint16_t country_id = kAnyId;
-  uint8_t net_type = kAnyByte;  // mopnet::NetType or kAnyByte
-  uint8_t kind = kAnyByte;      // mopcrowd::RecordKind or kAnyByte
+  uint16_t app_id;
+  uint16_t isp_id;
+  uint16_t country_id;
+  uint8_t net_type;  // mopnet::NetType
+  uint8_t kind;      // mopcrowd::RecordKind
 
   uint64_t Packed() const {
     return (static_cast<uint64_t>(app_id) << 48) | (static_cast<uint64_t>(isp_id) << 32) |
@@ -49,13 +44,9 @@ struct AggregateKey {
            kind;
   }
   static AggregateKey Unpack(uint64_t packed) {
-    AggregateKey k;
-    k.app_id = static_cast<uint16_t>(packed >> 48);
-    k.isp_id = static_cast<uint16_t>(packed >> 32);
-    k.country_id = static_cast<uint16_t>(packed >> 16);
-    k.net_type = static_cast<uint8_t>(packed >> 8);
-    k.kind = static_cast<uint8_t>(packed);
-    return k;
+    return {static_cast<uint16_t>(packed >> 48), static_cast<uint16_t>(packed >> 32),
+            static_cast<uint16_t>(packed >> 16), static_cast<uint8_t>(packed >> 8),
+            static_cast<uint8_t>(packed)};
   }
   bool operator==(const AggregateKey&) const = default;
 };
@@ -108,18 +99,14 @@ class AggregateStore {
                  const std::function<AggregateKey(const AggregateKey&)>& remap);
 
   // All (key, entry) pairs, shard by shard (iteration order is unspecified
-  // within a shard). `pred` filters; null takes everything.
-  std::vector<std::pair<AggregateKey, const AggregateEntry*>> Match(
-      const std::function<bool(const AggregateKey&)>& pred = nullptr) const;
+  // within a shard).
+  std::vector<std::pair<AggregateKey, const AggregateEntry*>> Entries() const;
 
   size_t key_count() const;
   uint64_t samples_folded() const { return samples_folded_; }
   void set_samples_folded(uint64_t n) { samples_folded_ = n; }
   size_t shard_count() const { return shards_.size(); }
   size_t shard_key_count(size_t shard) const { return shards_[shard].entries.size(); }
-  // Shard that owns `key` — the multi-lane collector routes each fold to the
-  // ingest lane owning the shard, so lanes never touch each other's maps.
-  size_t ShardIndexOf(const AggregateKey& key) const { return ShardOf(key.Packed()); }
   // Resident-size estimate of the aggregate state (entries + hash overhead).
   size_t ApproxMemoryBytes() const;
 
@@ -137,8 +124,9 @@ class AggregateStore {
 // ---- Query plane over a store + its interners ----
 //
 // Shared by CollectorServer (one collector's aggregates) and mopfleet's
-// FleetView (the merged union of many collectors): the rollup keys folded at
-// ingest time make both O(keys).
+// FleetView (the merged union of many collectors). Each query is one pass
+// over the store's keys: the entries of a row are merged, so a row's count
+// and quantiles equal those of one entry fed the row's whole stream.
 
 struct AppStat {
   std::string app;
@@ -147,8 +135,9 @@ struct AppStat {
   double p95_ms = 0;
   double mean_ms = 0;
 };
-// Fig. 9-style per-app TCP RTT stats (all networks folded), apps with at
-// least `min_count` records, sorted by count descending.
+// Fig. 9-style per-app TCP RTT stats (all ISPs, countries and networks
+// merged), apps with at least `min_count` records, sorted by count
+// descending. Records without an app form the "(none)" row.
 std::vector<AppStat> TcpAppStatsOf(const AggregateStore& store, const Interner& apps,
                                    size_t min_count = 1);
 
@@ -159,8 +148,9 @@ struct IspDnsStat {
   double median_ms = 0;
   double p95_ms = 0;
 };
-// Fig. 11 / Table 6-style per-(ISP, net type) DNS stats, sorted by count
-// descending.
+// Fig. 11 / Table 6-style per-(ISP, net type) DNS stats (all apps and
+// countries merged), sorted by count descending. Records without an ISP form
+// the "(none)" rows.
 std::vector<IspDnsStat> IspDnsStatsOf(const AggregateStore& store, const Interner& isps,
                                       size_t min_count = 1);
 

@@ -4,12 +4,9 @@
 #include <memory>
 #include <utility>
 
-#include "concurrent/lane_affinity.h"
 #include "telemetry/export_server.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
-#include "util/logging.h"
-#include "util/strings.h"
 
 namespace mopcollect {
 
@@ -46,10 +43,6 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
       // for its byte-identical error handling.
       if (auto raw_type = PeekRawFrameType(*payload); raw_type.ok()) {
         if (raw_type.value() == static_cast<uint8_t>(FrameType::kTelemetry)) {
-          if (!server_->opts_.telemetry_ingest) {
-            ++server_->counters_.frames_skipped;
-            continue;
-          }
           moputil::Status st = server_->IngestTelemetry(*payload, &pending_trace_ids_);
           if (!st.ok()) {
             // Malformed telemetry poisons the stream like a malformed
@@ -110,13 +103,6 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
   std::vector<uint64_t> pending_trace_ids_;
 };
 
-namespace {
-// Simulated cost of folding one RTT into one aggregate entry (hash + sketch
-// updates), paid on the owning ingest lane. Calibrated to the ~100 ns/fold
-// the collector_ingest bench measures on real hardware.
-constexpr moputil::SimDuration kFoldCost = 100;
-}  // namespace
-
 CollectorServer::CollectorServer(CollectorOptions opts)
     : opts_(opts), store_(opts.shards), health_(opts.shards) {}
 
@@ -135,11 +121,9 @@ void CollectorServer::ServeMetrics(mopnet::ServerFarm* farm, const moppkt::Socke
     loop_ = loop;
   }
   if (registry_ == nullptr) {
-    // One registry "lane" per ingest lane so the fold counter shards with
-    // the workers; single-lane collectors get one cell.
-    size_t lanes = std::max<size_t>(1, opts_.ingest_lanes);
-    registry_ = std::make_unique<moptel::Registry>(lanes);
-    recorder_ = std::make_unique<moptel::FlightRecorder>(lanes);
+    // The collector folds on its connection handler: one lane each.
+    registry_ = std::make_unique<moptel::Registry>(1);
+    recorder_ = std::make_unique<moptel::FlightRecorder>(1);
     moptel::Registry& reg = *registry_;
     reg.AddExternalCounter("mopeye_collector_connections_total",
                            "Upload connections accepted",
@@ -172,10 +156,10 @@ void CollectorServer::ServeMetrics(mopnet::ServerFarm* farm, const moppkt::Socke
                            "Malformed telemetry frames (connection closed)",
                            [this] { return counters_.telemetry_rejected; });
     reg.AddExternalCounter("mopeye_collector_frames_skipped_total",
-                           "Frames of unknown or disabled types skipped",
+                           "Frames of unknown types or newer telemetry formats skipped",
                            [this] { return counters_.frames_skipped; });
     folds_applied_ = reg.AddCounter("mopeye_collector_folds_applied_total",
-                                    "Aggregate folds applied, per ingest lane");
+                                    "Aggregate folds applied, one per ingested record");
     batch_records_ = reg.AddHistogram("mopeye_collector_batch_records",
                                       "Records per accepted batch");
     reg.AddExternalGauge("mopeye_collector_store_keys",
@@ -244,28 +228,6 @@ void CollectorServer::Shutdown() {
   }
 }
 
-void CollectorServer::EnableIngestLanes(mopsim::EventLoop* loop) {
-  loop_ = loop;
-  lanes_.clear();
-  lane_pending_.clear();
-  if (opts_.ingest_lanes <= 1) {
-    return;
-  }
-  for (size_t i = 0; i < opts_.ingest_lanes; ++i) {
-    lanes_.push_back(std::make_unique<mopsim::ActorLane>(
-        loop, moputil::StrFormat("ingest-%zu", i)));
-  }
-  lane_pending_.resize(lanes_.size());
-}
-
-moputil::SimDuration CollectorServer::ingest_lane_busy() const {
-  moputil::SimDuration total = 0;
-  for (const auto& lane : lanes_) {
-    total += lane->busy_time();
-  }
-  return total;
-}
-
 CollectorState CollectorServer::ExportState() const {
   if (recorder_ != nullptr) {
     recorder_->Record(0, TelemetryNow(), moptel::TraceKind::kSnapshot, "state-export",
@@ -273,18 +235,6 @@ CollectorState CollectorServer::ExportState() const {
   }
   CollectorState s;
   s.store = store_;
-  // Apply folds still queued on ingest lanes to the exported copy: every
-  // accepted batch is fully represented in the snapshot (matching its dedup
-  // record, the counters, and any withheld ack), whatever the lanes'
-  // simulated progress. Per-lane FIFO order matches the order the lanes
-  // will apply them to the live store.
-  for (const auto& pending : lane_pending_) {
-    for (const auto& folds : pending) {
-      for (const auto& [key, rtt] : folds) {
-        s.store.Add(key, rtt);
-      }
-    }
-  }
   s.apps = apps_;
   s.isps = isps_;
   s.countries = countries_;
@@ -384,9 +334,7 @@ void CollectorServer::NotifyDurable() {
 
 void CollectorServer::IngestBatch(const WireBatch& batch) {
   // Remap the per-batch wire tables onto the global interners once, then
-  // fold records through the cached mapping. Interning stays on the
-  // connection handler even in lane mode: ids must be assigned in arrival
-  // order regardless of how folds are spread.
+  // fold records through the cached mapping.
   std::vector<uint16_t> app_map(batch.apps.size()), isp_map(batch.isps.size()),
       country_map(batch.countries.size());
   for (size_t i = 0; i < batch.apps.size(); ++i) {
@@ -399,31 +347,11 @@ void CollectorServer::IngestBatch(const WireBatch& batch) {
     country_map[i] = countries_.Intern(batch.countries[i]);
   }
 
-  // In lane mode each fold routes to the lane owning its shard; the lists
-  // are built per batch and handed over in one Submit per lane.
-  std::vector<std::vector<std::pair<AggregateKey, double>>> lane_folds(lanes_.size());
-
   for (const WireRecord& rec : batch.records) {
     uint16_t app = rec.app_idx == kNoIndex ? kNoneId : app_map[rec.app_idx];
     uint16_t isp = rec.isp_idx == kNoIndex ? kNoneId : isp_map[rec.isp_idx];
     uint16_t country = rec.country_idx == kNoIndex ? kNoneId : country_map[rec.country_idx];
-    double rtt = rec.rtt_ms;
-
-    // Fine-grained key plus the two wildcard rollups the per-app and per-ISP
-    // queries read, so a query reads one entry per row.
-    const AggregateKey keys[3] = {{app, isp, country, rec.net_type, rec.kind},
-                                  {app, kAnyId, kAnyId, kAnyByte, rec.kind},
-                                  {kAnyId, isp, kAnyId, rec.net_type, rec.kind}};
-    for (const AggregateKey& key : keys) {
-      if (lanes_.empty()) {
-        store_.Add(key, rtt);
-        if (folds_applied_ != nullptr) {
-          folds_applied_->Inc(0);
-        }
-      } else {
-        lane_folds[store_.ShardIndexOf(key) % lanes_.size()].emplace_back(key, rtt);
-      }
-    }
+    store_.Add({app, isp, country, rec.net_type, rec.kind}, rec.rtt_ms);
     ++counters_.records_ingested;
 
     if (opts_.retain_records) {
@@ -449,36 +377,8 @@ void CollectorServer::IngestBatch(const WireBatch& batch) {
       ++dev.measurements;
     }
   }
-
-  for (size_t lane = 0; lane < lanes_.size(); ++lane) {
-    if (lane_folds[lane].empty()) {
-      continue;
-    }
-    // One simulated task per (batch, lane): the folds become externally
-    // visible when that lane's worker finishes, and the per-fold cost keeps
-    // lane busy-time proportional to work so the scaling model is honest.
-    // The list is parked in lane_pending_ (not captured) so ExportState can
-    // include not-yet-applied folds in a snapshot.
-    const moputil::SimDuration service =
-        kFoldCost * static_cast<moputil::SimDuration>(lane_folds[lane].size());
-    lane_pending_[lane].push_back(std::move(lane_folds[lane]));
-    lanes_[lane]->Submit(0, service, [this, lane] {
-      // Lane-affinity gate for the sharded fold: this worker may only touch
-      // shards it owns (s % lanes == lane) — the property that lets the
-      // multi-lane store run without locks. Debug-only, zero Release cost.
-      mopcc::LaneScope lane_scope(lane);
-      auto folds = std::move(lane_pending_[lane].front());
-      lane_pending_[lane].pop_front();
-      for (const auto& [key, rtt] : folds) {
-        MOP_DCHECK(store_.ShardIndexOf(key) % lanes_.size() == lane)
-            << "fold for shard " << store_.ShardIndexOf(key)
-            << " routed to ingest lane " << lane;
-        store_.Add(key, rtt);
-      }
-      if (folds_applied_ != nullptr) {
-        folds_applied_->Add(lane, folds.size());
-      }
-    });
+  if (folds_applied_ != nullptr) {
+    folds_applied_->Add(0, batch.records.size());
   }
 }
 
@@ -502,8 +402,15 @@ moputil::Result<uint32_t> CollectorServer::IngestPayload(std::span<const uint8_t
   if (batch_records_ != nullptr) {
     batch_records_->Observe(0, static_cast<double>(records));
   }
-  if (!trace_ids.empty()) {
-    ScheduleFoldedTraces(std::move(trace_ids));
+  // The batch's traces reach kFolded now, and kDurable once a snapshot
+  // covers the fold (durable_acks).
+  int64_t now = TelemetryNow();
+  for (uint64_t id : trace_ids) {
+    traces_.AppendSpan(id, moptel::TraceHop::kFolded, now);
+  }
+  if (opts_.durable_acks) {
+    durable_trace_pending_.insert(durable_trace_pending_.end(), trace_ids.begin(),
+                                  trace_ids.end());
   }
   return records;
 }
@@ -542,40 +449,6 @@ moputil::Status CollectorServer::IngestTelemetry(std::span<const uint8_t> payloa
     }
   }
   return moputil::Status();
-}
-
-void CollectorServer::ScheduleFoldedTraces(std::vector<uint64_t> ids) {
-  if (lanes_.empty()) {
-    RecordFoldedTraces(ids);
-    return;
-  }
-  // The batch's folds were just submitted, one FIFO task per lane; a
-  // zero-cost marker behind them on every lane sees the last fold land. The
-  // group lives on the shared_ptr until the final lane decrements it.
-  struct FoldGroup {
-    std::vector<uint64_t> ids;
-    size_t remaining = 0;
-  };
-  auto group = std::make_shared<FoldGroup>();
-  group->ids = std::move(ids);
-  group->remaining = lanes_.size();
-  for (auto& lane : lanes_) {
-    lane->Submit(0, 0, [this, group] {
-      if (--group->remaining == 0) {
-        RecordFoldedTraces(group->ids);
-      }
-    });
-  }
-}
-
-void CollectorServer::RecordFoldedTraces(const std::vector<uint64_t>& ids) {
-  int64_t now = TelemetryNow();
-  for (uint64_t id : ids) {
-    traces_.AppendSpan(id, moptel::TraceHop::kFolded, now);
-  }
-  if (opts_.durable_acks) {
-    durable_trace_pending_.insert(durable_trace_pending_.end(), ids.begin(), ids.end());
-  }
 }
 
 bool CollectorServer::CheckAndRecord(std::unordered_map<uint32_t, SeenBatches>* map,

@@ -4,11 +4,11 @@
 // accepts concurrent device connections (each accepted connection gets its
 // own frame reassembler). Uploaded batches are decoded, remapped from the
 // per-batch wire string tables onto global interners, and folded into the
-// sharded AggregateStore — per record it updates the fine-grained key plus
-// the per-app and per-ISP rollups, so Fig. 9 / Fig. 11 / Table 6 style
-// queries are O(keys), not O(records). Malformed input never crashes the
-// collector: the batch is rejected with an error ack and the connection is
-// reset.
+// sharded AggregateStore — each record folds once, inline, into the entry for
+// its (app, isp, country, net type, kind) key. Fig. 9 / Fig. 11 / Table 6
+// style queries merge those entries at query time, so they are O(keys), not
+// O(records). Malformed input never crashes the collector: the batch is
+// rejected with an error ack and the connection is reset.
 //
 // For analyses that need raw records (and for validating the sketches
 // against exact recomputation), `retain_records` additionally accumulates a
@@ -31,7 +31,7 @@
 #include "collector/wire.h"
 #include "crowd/dataset.h"
 #include "net/server.h"
-#include "sim/actor.h"
+#include "sim/event_loop.h"
 #include "telemetry/trace.h"
 #include "util/status.h"
 
@@ -57,17 +57,6 @@ struct CollectorOptions {
   // snapshot's store and in its dedup state. Requires a Snapshotter (or a
   // manual NotifyDurable caller); otherwise acks never flush.
   bool durable_acks = false;
-  // Number of ingest lanes (simulated worker threads) the aggregate folds
-  // are spread across; enable with EnableIngestLanes(). Lane i owns store
-  // shards s with s % lanes == i — the store is already hash-partitioned,
-  // so lanes never touch each other's shard maps and no reshaping happens.
-  // <= 1 folds inline on the connection handler (the PR-2 behavior).
-  size_t ingest_lanes = 1;
-  // Accept piggybacked telemetry frames (device health deltas + sampled
-  // record traces). Off emulates a collector that predates the telemetry
-  // frame type: such frames are counted as skipped and the batch path is
-  // byte-identical — the compat tests pin this down.
-  bool telemetry_ingest = true;
 };
 
 // The collector state a snapshot captures: the aggregate store, the global
@@ -115,7 +104,7 @@ class CollectorServer {
     uint64_t telemetry_frames = 0;     // telemetry frames decoded and folded
     uint64_t telemetry_duplicate = 0;  // telemetry re-deliveries not re-folded
     uint64_t telemetry_rejected = 0;   // malformed telemetry frames (conn closed)
-    uint64_t frames_skipped = 0;       // unknown/disabled frame types skipped
+    uint64_t frames_skipped = 0;       // unknown types / newer telemetry formats
   };
 
   // Bounds of the duplicate-delivery state (see seen_batches_ below).
@@ -139,12 +128,11 @@ class CollectorServer {
   bool shut_down() const { return shut_down_; }
 
   // Telemetry (moptel): builds an internal registry over the collector's
-  // counters, ingest lanes, and store, plus a flight recorder for snapshot /
-  // durable-ack lifecycle events, and serves the Prometheus-style text
-  // exposition at `addr` on `farm`. Idempotent per (farm, addr); Shutdown()
-  // removes the registration along with the upload listener's connections.
-  // `loop` (optional) timestamps flight-recorder events; EnableIngestLanes
-  // also provides it.
+  // counters and store, plus a flight recorder for snapshot / durable-ack
+  // lifecycle events, and serves the Prometheus-style text exposition at
+  // `addr` on `farm`. Idempotent per (farm, addr); Shutdown() removes the
+  // registration along with the upload listener's connections. `loop`
+  // (optional) timestamps flight-recorder events and trace spans.
   void ServeMetrics(mopnet::ServerFarm* farm, const moppkt::SocketAddr& addr,
                     mopsim::EventLoop* loop = nullptr);
   // Null until ServeMetrics is called.
@@ -152,20 +140,11 @@ class CollectorServer {
   moptel::FlightRecorder* flight_recorder() const { return recorder_.get(); }
 
   // Live forensics endpoint: serves a JSON document with the flight
-  // recorder's lane-merged event stream and the retained record traces.
+  // recorder's event stream and the retained record traces.
   // Same connect-read-close protocol as the metrics endpoint; Shutdown()
   // removes the registration.
   void ServeForensics(mopnet::ServerFarm* farm, const moppkt::SocketAddr& addr);
   std::string RenderForensicsJson() const;
-
-  // Spreads aggregate folding across opts.ingest_lanes simulated worker
-  // threads (ActorLanes on `loop`), lane i owning shard set {s : s % lanes
-  // == i}. Decode, dedup, counters, and retained records stay on the
-  // connection handler; only the per-shard folds move. Call before serving.
-  void EnableIngestLanes(mopsim::EventLoop* loop);
-  size_t ingest_lane_count() const { return lanes_.size(); }
-  // Total simulated busy time across ingest lanes (scaling diagnostics).
-  moputil::SimDuration ingest_lane_busy() const;
 
   // ---- Snapshot hooks (serialization lives in fleet/snapshot.*) ----
 
@@ -191,8 +170,7 @@ class CollectorServer {
   // folded again — the uploader re-sends the identical frame when an ack is
   // lost, and at-least-once delivery must not double-count records.
   // `trace_ids` (from the telemetry frame that preceded this batch on the
-  // connection) get their kFolded span recorded once every aggregate fold
-  // of the batch has been applied.
+  // connection) get their kFolded span right after the batch's records fold.
   moputil::Result<uint32_t> IngestPayload(std::span<const uint8_t> payload,
                                           std::vector<uint64_t> trace_ids = {});
   // Decode + fold one telemetry frame payload: health deltas into the
@@ -239,15 +217,6 @@ class CollectorServer {
   mopcrowd::CrowdDataset dataset_;
   // device_id -> index into dataset_.devices() (retain mode only).
   std::unordered_map<uint32_t, size_t> device_index_;
-  // Ingest lanes (EnableIngestLanes); empty = fold inline.
-  std::vector<std::unique_ptr<mopsim::ActorLane>> lanes_;
-  // Fold lists accepted but not yet applied by their lane (FIFO per lane).
-  // ExportState folds these into the exported copy, so a snapshot always
-  // reflects every accepted batch — the dedup record, counters, and
-  // (withheld) ack of a batch must never be durable ahead of its folds, or
-  // a crash in that window would lose the records while the restored dedup
-  // window rejects their re-delivery.
-  std::vector<std::deque<std::vector<std::pair<AggregateKey, double>>>> lane_pending_;
   bool shut_down_ = false;
   // Live upload connections, so Shutdown() can sever them (Behavior
   // registers in OnConnect, deregisters in OnClosed / its destructor).
@@ -276,11 +245,6 @@ class CollectorServer {
   static bool CheckAndRecord(std::unordered_map<uint32_t, SeenBatches>* map,
                              uint32_t device, uint32_t seq);
   bool CheckAndRecordDelivery(uint32_t device, uint32_t seq);
-  // Records the kFolded span for `ids` once every lane fold of the owning
-  // batch has applied (immediately in inline mode), then queues them for the
-  // kDurable span under durable_acks.
-  void ScheduleFoldedTraces(std::vector<uint64_t> ids);
-  void RecordFoldedTraces(const std::vector<uint64_t>& ids);
 
   std::unordered_map<uint32_t, SeenBatches> seen_batches_;
   std::unordered_map<uint32_t, SeenBatches> seen_telemetry_;
@@ -298,7 +262,7 @@ class CollectorServer {
   // and batch histogram are owned by registry_; raw pointers are stable.
   std::unique_ptr<moptel::Registry> registry_;
   std::unique_ptr<moptel::FlightRecorder> recorder_;
-  moptel::Counter* folds_applied_ = nullptr;     // per ingest lane
+  moptel::Counter* folds_applied_ = nullptr;     // one fold per record
   moptel::Histogram* batch_records_ = nullptr;   // records per accepted batch
   mopnet::ServerFarm* metrics_farm_ = nullptr;
   moppkt::SocketAddr metrics_addr_;

@@ -156,13 +156,10 @@ namespace {
 
 // Validates one decoded record against the batch's table sizes.
 moputil::Status ValidateRecord(const WireRecord& rec, const WireBatch& batch, size_t index) {
-  if (rec.kind > 1) {
-    return moputil::InvalidArgument(
-        moputil::StrFormat("record %zu: bad kind %u", index, static_cast<unsigned>(rec.kind)));
-  }
-  if (rec.net_type > 3) {
-    return moputil::InvalidArgument(
-        moputil::StrFormat("record %zu: bad net_type %u", index, static_cast<unsigned>(rec.net_type)));
+  if (!ValidRecordEnums(rec.kind, rec.net_type)) {
+    return moputil::InvalidArgument(moputil::StrFormat(
+        "record %zu: bad kind %u or net_type %u", index, static_cast<unsigned>(rec.kind),
+        static_cast<unsigned>(rec.net_type)));
   }
   if (!std::isfinite(rec.rtt_ms) || rec.rtt_ms < 0 || rec.rtt_ms > kMaxRttMs) {
     return moputil::InvalidArgument(moputil::StrFormat("record %zu: bad rtt", index));
@@ -234,7 +231,6 @@ moputil::Result<FrameType> DecodeHeader(ByteReader* r) {
 
 namespace {
 const std::string kNoneName = "(none)";
-const std::string kAnyName = "(any)";
 }  // namespace
 
 Interner Interner::FromNames(const std::vector<std::string>& names) {
@@ -265,10 +261,7 @@ uint16_t Interner::Find(const std::string& s) const {
 }
 
 const std::string& Interner::Name(uint16_t id) const {
-  if (id >= names_.size()) {
-    return id == kNoIndex ? kNoneName : kAnyName;
-  }
-  return names_[id];
+  return id < names_.size() ? names_[id] : kNoneName;
 }
 
 // ---- BatchBuilder ----

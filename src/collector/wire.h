@@ -117,7 +117,8 @@ class Interner {
   uint16_t Intern(const std::string& s);
   // Lookup without interning: the id of `s`, or kNoIndex if never seen.
   uint16_t Find(const std::string& s) const;
-  // Name for an id interned earlier; sentinels map to "(none)" / "(any)".
+  // Name for an id interned earlier; any other id (kNoIndex included) maps
+  // to "(none)".
   const std::string& Name(uint16_t id) const;
   const std::vector<std::string>& names() const { return names_; }
   size_t size() const { return names_.size(); }
@@ -126,6 +127,14 @@ class Interner {
   std::vector<std::string> names_;
   std::unordered_map<std::string, uint16_t> ids_;
 };
+
+// True when `kind` is a mopcrowd::RecordKind (kTcp, kDns) and `net_type` a
+// mopnet::NetType (kWifi .. kLte): the enum bytes a record may carry. The
+// batch decoder checks every record with it, and the snapshot decoder checks
+// every aggregate key.
+constexpr bool ValidRecordEnums(uint8_t kind, uint8_t net_type) {
+  return kind <= 1 && net_type <= 3;
+}
 
 // One measurement on the wire: 20 bytes, the CrowdRecord layout with the
 // string fields replaced by indices into the batch's tables (domain_idx is

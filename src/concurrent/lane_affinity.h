@@ -7,9 +7,9 @@
 // access from a different context aborts with both identities in the message.
 //
 // "Context" is two-level:
-//  * Virtual-time lanes (engine WorkerLanes, collector ingest lanes — many
-//    lanes multiplexed onto one real thread): a LaneScope on the stack names
-//    the lane currently executing.
+//  * Virtual-time lanes (engine WorkerLanes — many lanes multiplexed onto
+//    one real thread): a LaneScope on the stack names the lane currently
+//    executing.
 //  * Outside any LaneScope (the TunReader's dispatch, the TunWriter's pump):
 //    the context is the thread id, so a second real thread touching the
 //    state is caught too.
@@ -56,7 +56,7 @@ inline uint64_t CurrentAffinityToken() {
 
 // Names the virtual lane executing on this thread for the duration of the
 // scope. Nestable; restores the previous token on destruction. Engine worker
-// lanes and collector ingest lanes open one at the top of each task.
+// lanes open one at the top of each task.
 class LaneScope {
  public:
   explicit LaneScope(uint64_t lane_id) : prev_(internal::tls_lane_token) {

@@ -83,15 +83,6 @@ struct ReadQueue {
   void Append(Item item) { items.push_back(std::move(item)); }
   void Commit() { high_water_.SetMax(0, items.size()); }
 
-  // Single-packet convenience (the tun_read_batch == 1 paper model).
-  void Push(moputil::SimTime t, moppkt::PacketBuf pkt) {
-    Item item;
-    item.t = t;
-    item.pkt = std::move(pkt);
-    Append(std::move(item));
-    Commit();
-  }
-
   size_t high_water() const { return static_cast<size_t>(high_water_.Value()); }
 
  private:

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <unordered_set>
 #include <utility>
 
 #include "collector/aggregate_store.h"
@@ -53,6 +54,22 @@ constexpr size_t kMinEntryBytes = 8 + (8 + 4 * 8) + (8 + 8 + 4 + 4);
 constexpr size_t kLegacyP2Bytes = 2 * (8 + 15 * 8);
 constexpr size_t kMinLegacyEntryBytes = kMinEntryBytes + 1 + kLegacyP2Bytes;
 
+// Wildcard key components of the per-app and per-ISP rollup entries older
+// encoders (every version, 3 included) wrote beside the fine keys. The
+// queries merge fine keys instead, so the decoder drops these entries.
+constexpr uint16_t kLegacyAnyId = 0xfffe;
+constexpr uint8_t kLegacyAnyByte = 0xfe;
+
+bool IsLegacyRollup(const AggregateKey& k) {
+  return k.app_id == kLegacyAnyId || k.isp_id == kLegacyAnyId || k.country_id == kLegacyAnyId ||
+         k.net_type == kLegacyAnyByte || k.kind == kLegacyAnyByte;
+}
+
+// An id a restored key may hold: unattributed, or an index into its table.
+bool ValidId(uint16_t id, const mopcollect::Interner& table) {
+  return id == mopcollect::kNoneId || id < table.size();
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
@@ -83,7 +100,7 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   mopcollect::PutU32(&payload, static_cast<uint32_t>(state.store.shard_count()));
   mopcollect::PutU64(&payload, state.store.samples_folded());
 
-  auto entries = state.store.Match();
+  auto entries = state.store.Entries();
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
     return a.first.Packed() < b.first.Packed();
   });
@@ -279,6 +296,8 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
   const auto entry_range =
       *moputil::LogQuantile::LegalIndexRange(AggregateEntry::kRelErr, kMaxLogBuckets);
   state.store = AggregateStore(shard_count);
+  std::unordered_set<uint64_t> legacy_rollups;
+  AggregateEntry rollup_entry;  // checked like any entry, then dropped
   for (uint32_t i = 0; i < entry_count; ++i) {
     uint64_t packed = 0;
     uint8_t entry_merged = 0;
@@ -288,11 +307,18 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     if (entry_merged > 1) {
       return Corrupt("bad entry merged flag");
     }
-    AggregateKey key = AggregateKey::Unpack(packed);
-    if (state.store.Find(key) != nullptr) {
+    const AggregateKey key = AggregateKey::Unpack(packed);
+    const bool rollup = IsLegacyRollup(key);
+    if (rollup ? !legacy_rollups.insert(packed).second : state.store.Find(key) != nullptr) {
       return Corrupt("duplicate entry key");
     }
-    AggregateEntry& entry = state.store.MutableEntry(key);
+    // Every restored key is one a record could have folded into.
+    if (!rollup && (!ValidId(key.app_id, state.apps) || !ValidId(key.isp_id, state.isps) ||
+                    !ValidId(key.country_id, state.countries) ||
+                    !mopcollect::ValidRecordEnums(key.kind, key.net_type))) {
+      return Corrupt("entry key out of range");
+    }
+    AggregateEntry& entry = rollup ? rollup_entry : state.store.MutableEntry(key);
 
     moputil::OnlineStats::State stats;
     if (!r.ReadU64(&stats.count) || !r.ReadF64(&stats.mean) || !r.ReadF64(&stats.m2) ||
@@ -332,6 +358,13 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
       return Corrupt("entry sketch counts disagree");
     }
     entry.quantiles.Restore(std::move(log));
+    if (rollup) {
+      // A legacy rollup's folds were counted in samples_folded too.
+      if (stats.count > samples_folded) {
+        return Corrupt("rollup counts exceed samples_folded");
+      }
+      samples_folded -= stats.count;
+    }
   }
   state.store.set_samples_folded(samples_folded);
   // Health shard geometry follows the aggregate store's (both come from the

@@ -40,12 +40,22 @@
 // checks each flag is 0 or 1 and skips the markers. A version-1 payload ends
 // after the entries: it has no telemetry or health sections.
 //
+// Entries are the store's fine (app, isp, country, net_type, kind) keys.
+// Older encoders (every version, 3 included) also wrote per-app and per-ISP
+// rollup entries beside them, marked by wildcard key components (constants
+// in snapshot.cc), and counted the rollups' folds in samples_folded. The
+// decoder checks those entries like any other, then drops them and subtracts
+// their counts from samples_folded, so an old file loads into the state a
+// fresh ingest of its records builds.
+//
 // Loading is strictly bounds-checked: bad magic/version/CRC, any truncation,
 // table or bucket counts beyond their caps, bucket indexes outside the span
-// a sketch's input clamps allow, or internal inconsistencies (entry count vs
-// log-bucket totals) yield an error Status and no partial state. Writes go to
-// `<path>.tmp` and rename into place, so a crash during a write leaves the
-// previous snapshot intact.
+// a sketch's input clamps allow, entry keys no record could carry (an id
+// past its string table, a kind or net type outside the wire's enums), or
+// internal inconsistencies (entry count vs log-bucket totals, rollup counts
+// beyond samples_folded) yield an error Status and no partial state. Writes
+// go to `<path>.tmp` and rename into place, so a crash during a write leaves
+// the previous snapshot intact.
 #ifndef MOPEYE_FLEET_SNAPSHOT_H_
 #define MOPEYE_FLEET_SNAPSHOT_H_
 

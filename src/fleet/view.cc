@@ -2,30 +2,17 @@
 
 #include <utility>
 
-#include "fleet/snapshot.h"
-
 namespace mopfleet {
 
 using mopcollect::AggregateKey;
 using mopcollect::AggregateStore;
 using mopcollect::Interner;
-using mopcollect::kAnyId;
-using mopcollect::kNoIndex;
 using mopcollect::kNoneId;
 
 FleetView::FleetView(size_t shards) : shards_(shards), merged_(shards) {}
 
 void FleetView::AttachCollector(const mopcollect::CollectorServer* server) {
   live_.push_back(server);
-}
-
-moputil::Status FleetView::AttachSnapshotFile(const std::string& path) {
-  auto state = ReadSnapshotFile(path);
-  if (!state.ok()) {
-    return state.status();
-  }
-  offline_.push_back(std::move(state).value());
-  return moputil::OkStatus();
 }
 
 void FleetView::AttachState(mopcollect::CollectorState state) {
@@ -54,7 +41,7 @@ void FleetView::Refresh() {
 void FleetView::MergeSource(const AggregateStore& store, const Interner& src_apps,
                             const Interner& src_isps, const Interner& src_countries) {
   // Remap the source's dense id spaces onto the view's: one table per axis,
-  // built once, then every key translates in O(1). Sentinels pass through.
+  // built once, then every key translates in O(1).
   auto build = [](const Interner& src, Interner* dst) {
     std::vector<uint16_t> map(src.size());
     for (size_t i = 0; i < src.size(); ++i) {
@@ -67,11 +54,8 @@ void FleetView::MergeSource(const AggregateStore& store, const Interner& src_app
   std::vector<uint16_t> country_map = build(src_countries, &countries_);
 
   auto translate = [](const std::vector<uint16_t>& map, uint16_t id) {
-    if (id == kNoneId || id == kAnyId) {
-      return id;
-    }
-    // An id past the source's interner can only come from a corrupt source;
-    // degrade to unattributed rather than alias another name.
+    // kNoneId lies past every interner and stays unattributed; so does any
+    // other id past the source's interner rather than alias another name.
     return id < map.size() ? map[id] : kNoneId;
   };
 

@@ -1,23 +1,22 @@
 // FleetView: the merged query plane over a collector fleet.
 //
 // Sources are live CollectorServers (attached by pointer, re-read on every
-// Refresh) and/or snapshot files of collectors that are not running here.
-// Refresh() rebuilds one merged AggregateStore: per-collector interner ids
-// are remapped onto the view's own id spaces and entries with the same
-// remapped key are folded together — counts and moments combine exactly and
-// the log-bucket sketches merge by bucket addition, so any merged quantile
-// carries the same 2% guarantee as a single collector's.
+// Refresh) and/or collector states of collectors that are not running here
+// (e.g. decoded snapshot files). Refresh() rebuilds one merged
+// AggregateStore: per-collector interner ids are remapped onto the view's
+// own id spaces and entries with the same remapped key are folded together —
+// counts and moments combine exactly and the log-bucket sketches merge by
+// bucket addition, so any merged quantile carries the same 2% guarantee as a
+// single collector's. The per-app and per-ISP queries then merge the fine
+// keys of each row, exactly as a single collector's queries do.
 #ifndef MOPEYE_FLEET_VIEW_H_
 #define MOPEYE_FLEET_VIEW_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "collector/aggregate_store.h"
 #include "collector/server.h"
-#include "util/status.h"
 
 namespace mopfleet {
 
@@ -28,10 +27,8 @@ class FleetView {
   // Live source: `server` must outlive the view; its current state is
   // re-read on every Refresh() (cheap polling — the stores are O(keys)).
   void AttachCollector(const mopcollect::CollectorServer* server);
-  // Offline source: a snapshot file, loaded now and folded on every
-  // Refresh(). Fails (and attaches nothing) on a corrupt file.
-  moputil::Status AttachSnapshotFile(const std::string& path);
-  // Offline source from pre-loaded state.
+  // Offline source from pre-loaded state (e.g. ReadSnapshotFile), folded on
+  // every Refresh().
   void AttachState(mopcollect::CollectorState state);
 
   size_t source_count() const { return live_.size() + offline_.size(); }

@@ -23,9 +23,6 @@ class Link {
   // time the last bit leaves the link. Subsequent transmissions queue behind.
   SimTime DeliverAfter(SimTime earliest, size_t bytes);
 
-  // Transmission starting now.
-  SimTime Transmit(size_t bytes) { return DeliverAfter(loop_->Now(), bytes); }
-
   void set_rate(double bits_per_second) { bps_ = bits_per_second; }
   double rate() const { return bps_; }
 

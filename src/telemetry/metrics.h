@@ -125,7 +125,6 @@ class Histogram {
   uint64_t Count() const;
   double Sum() const;
   uint64_t LaneCount(size_t lane) const;
-  double LaneSum(size_t lane) const { return shards_[lane].sum; }
   // Per-lane quantile (percentile in [0,100]); requires LaneCount(lane) > 0.
   double LaneQuantile(size_t lane, double percentile) const;
   size_t lanes() const { return shards_.size(); }

@@ -58,7 +58,7 @@ enum class TraceHop : uint8_t {
   kBatched = 1,   // drained into an upload batch by the Uploader
   kSent = 2,      // upload frame written to the collector connection
   kReceived = 3,  // telemetry frame decoded by the collector
-  kFolded = 4,    // every lane fold for the batch applied
+  kFolded = 4,    // the batch's records folded into the collector store
   kDurable = 5,   // covered by a persisted snapshot (durable ack sent)
 };
 

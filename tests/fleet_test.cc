@@ -1,11 +1,14 @@
-// Fleet subsystem tests: device->shard routing, snapshot codec durability
+// Fleet subsystem tests: device->shard routing, fold-once ingest and
+// query-time merging against generated records, snapshot codec durability
 // (round-trip equality, truncation/corruption rejection, golden version-1
-// and version-2 files, hostile bucket indexes, atomic file replacement),
-// restart recovery with dedup preserved, uploader failover with
-// possibly-delivered pinning, multi-lane ingest equivalence, and the merged
-// FleetView query plane.
+// and version-2 files, legacy rollup entries dropped on load, hostile bucket
+// indexes and entry keys, atomic file replacement), restart recovery with
+// dedup preserved, uploader failover with possibly-delivered pinning, and
+// the merged FleetView query plane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -13,6 +16,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -98,6 +103,39 @@ void IngestHealth(mopcollect::CollectorServer* server, uint32_t device, uint32_t
   ASSERT_TRUE(st.ok()) << st.ToString();
 }
 
+// Feeds `batches` seeded random upload batches into `server`, over several
+// apps, ISPs, countries and net types, both kinds, and unattributed strings.
+// Returns the measurements in arrival order. RTTs are whole quarter
+// milliseconds, which cross the wire's f32 exactly.
+std::vector<mopeye::Measurement> IngestRandomRecords(mopcollect::CollectorServer* server,
+                                                     uint64_t seed, uint32_t batches) {
+  const std::vector<std::string> apps = {"Whatsapp", "Youtube", "Chrome", "Facebook", ""};
+  const std::vector<std::string> isps = {"JioNet", "Airtel", "TestNet", ""};
+  const std::vector<std::string> countries = {"IN", "US", ""};
+  moputil::Rng rng(seed);
+  auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng.UniformInt(0, static_cast<int64_t>(from.size()) - 1)];
+  };
+  std::vector<mopeye::Measurement> all;
+  for (uint32_t seq = 0; seq < batches; ++seq) {
+    mopcollect::BatchBuilder builder(/*device_id=*/seq % 7, seq);
+    for (int64_t n = rng.UniformInt(1, 150); n > 0; --n) {
+      const double rtt = std::max(0.25, std::round(rng.LogNormalMedian(80.0, 0.8) * 4) / 4);
+      const bool dns = rng.Bernoulli(0.3);
+      auto m = MakeMeasurement(pick(apps), "d.com", rtt, 0,
+                               dns ? mopeye::MeasureKind::kDns : mopeye::MeasureKind::kTcpConnect,
+                               static_cast<mopnet::NetType>(rng.UniformInt(0, 3)));
+      m.isp = pick(isps);
+      m.country = pick(countries);
+      builder.Add(m);
+      all.push_back(m);
+    }
+    auto frame = mopcollect::EncodeBatchFrame(builder.TakeBatch());
+    EXPECT_TRUE(server->IngestPayload({frame.data() + 4, frame.size() - 4}).ok());
+  }
+  return all;
+}
+
 // ---- FleetRouter ----
 
 TEST(FleetRouter, StableAssignmentAndFailoverPlan) {
@@ -138,6 +176,62 @@ TEST(FleetRouter, SpreadsSequentialDeviceIdsAcrossShards) {
   }
 }
 
+// ---- Fold once, merge at query time ----
+
+// Each record folds once, and every query row equals one entry fed the
+// whole stream of its group.
+TEST(GeneratedRecords, QueryRowsEqualOneEntryFedTheirGroup) {
+  mopcollect::CollectorServer server({.shards = 8});
+  const auto records = IngestRandomRecords(&server, /*seed=*/2017, /*batches=*/40);
+  auto name = [](const std::string& s) { return s.empty() ? std::string("(none)") : s; };
+  std::map<std::string, mopcollect::AggregateEntry> by_app;
+  std::map<std::pair<std::string, uint8_t>, mopcollect::AggregateEntry> by_isp_net;
+  std::set<std::tuple<std::string, std::string, std::string, mopnet::NetType,
+                      mopeye::MeasureKind>>
+      fine_keys;
+  for (const auto& m : records) {
+    fine_keys.emplace(m.app, m.isp, m.country, m.net_type, m.kind);
+    if (m.kind == mopeye::MeasureKind::kDns) {
+      by_isp_net[{name(m.isp), static_cast<uint8_t>(m.net_type)}].Add(moputil::ToMillis(m.rtt));
+    } else {
+      by_app[name(m.app)].Add(moputil::ToMillis(m.rtt));
+    }
+  }
+  EXPECT_EQ(server.counters().records_ingested, records.size());
+  EXPECT_EQ(server.store().samples_folded(), records.size());
+  EXPECT_EQ(server.store().key_count(), fine_keys.size());
+
+  auto apps = server.TcpAppStats();
+  ASSERT_EQ(apps.size(), by_app.size());
+  for (const auto& row : apps) {
+    const auto& want = by_app.at(row.app);
+    EXPECT_EQ(row.count, want.count()) << row.app;
+    EXPECT_DOUBLE_EQ(row.median_ms, want.median_ms()) << row.app;
+    EXPECT_DOUBLE_EQ(row.p95_ms, want.p95_ms()) << row.app;
+    EXPECT_NEAR(row.mean_ms, want.stats.mean(), 1e-9) << row.app;
+  }
+  EXPECT_TRUE(std::is_sorted(apps.begin(), apps.end(), [](const auto& a, const auto& b) {
+    return a.count != b.count ? a.count > b.count : a.app < b.app;
+  }));
+  const size_t min_count = apps[apps.size() / 2].count;
+  EXPECT_EQ(server.TcpAppStats(min_count).size(),
+            static_cast<size_t>(std::count_if(apps.begin(), apps.end(), [&](const auto& row) {
+              return row.count >= min_count;
+            })));
+
+  auto isps = server.IspDnsStats();
+  ASSERT_EQ(isps.size(), by_isp_net.size());
+  for (const auto& row : isps) {
+    const auto& want = by_isp_net.at({row.isp, row.net_type});
+    EXPECT_EQ(row.count, want.count()) << row.isp;
+    EXPECT_DOUBLE_EQ(row.median_ms, want.median_ms()) << row.isp;
+    EXPECT_DOUBLE_EQ(row.p95_ms, want.p95_ms()) << row.isp;
+  }
+  EXPECT_TRUE(std::is_sorted(isps.begin(), isps.end(), [](const auto& a, const auto& b) {
+    return std::tie(b.count, a.isp, a.net_type) < std::tie(a.count, b.isp, b.net_type);
+  }));
+}
+
 // ---- Snapshot codec ----
 
 // A collector with aggregate, interner, counter, and dedup state.
@@ -173,7 +267,7 @@ TEST(Snapshot, RoundTripPreservesEverything) {
   EXPECT_EQ(got.store.key_count(), state.store.key_count());
   EXPECT_EQ(got.store.samples_folded(), state.store.samples_folded());
   EXPECT_EQ(got.store.shard_count(), state.store.shard_count());
-  for (const auto& [key, entry] : state.store.Match()) {
+  for (const auto& [key, entry] : state.store.Entries()) {
     const auto* restored = got.store.Find(key);
     ASSERT_NE(restored, nullptr);
     EXPECT_EQ(restored->count(), entry->count());
@@ -331,21 +425,13 @@ struct GoldenEntry {
 };
 
 void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
-  constexpr uint16_t kAny = mopcollect::kAnyId;
-  constexpr uint8_t kAnyB = mopcollect::kAnyByte;
+  // The fine entries. The files also hold six per-app and per-ISP rollup
+  // entries, which the decoder drops along with their 8 folds.
   const GoldenEntry kEntries[] = {
       {{0, 0, 0, 0, 0}, 2, 100.375, 810.03125, 80.25, 120.5, 99.532492640417175,
        117.21552074646188},
-      {{0, kAny, kAny, kAnyB, 0}, 2, 100.375, 810.03125, 80.25, 120.5, 99.532492640417175,
-       117.21552074646188},
       {{1, 0, 0, 3, 0}, 1, 45, 0, 45, 45, 45.627447559716344, 45.627447559716344},
-      {{1, kAny, kAny, kAnyB, 0}, 1, 45, 0, 45, 45, 45.627447559716344, 45.627447559716344},
       {{2, 0, 0, 3, 1}, 1, 30, 0, 30, 30, 30.583361201023472, 30.583361201023472},
-      {{2, kAny, kAny, kAnyB, 1}, 1, 30, 0, 30, 30, 30.583361201023472, 30.583361201023472},
-      {{kAny, 0, kAny, 0, 0}, 2, 100.375, 810.03125, 80.25, 120.5, 99.532492640417175,
-       117.21552074646188},
-      {{kAny, 0, kAny, 3, 0}, 1, 45, 0, 45, 45, 45.627447559716344, 45.627447559716344},
-      {{kAny, 0, kAny, 3, 1}, 1, 30, 0, 30, 30, 30.583361201023472, 30.583361201023472},
   };
   EXPECT_EQ(got.apps.names(), (std::vector<std::string>{"Whatsapp", "Youtube", "Chrome"}));
   EXPECT_EQ(got.isps.names(), std::vector<std::string>{"JioNet"});
@@ -358,7 +444,7 @@ void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
   EXPECT_EQ(got.seen_batches,
             (std::vector<std::pair<uint32_t, std::vector<uint32_t>>>{{7, {41, 42}}}));
   EXPECT_EQ(got.store.shard_count(), 4u);
-  EXPECT_EQ(got.store.samples_folded(), 12u);
+  EXPECT_EQ(got.store.samples_folded(), 4u);
   EXPECT_EQ(got.store.key_count(), std::size(kEntries));
   for (const GoldenEntry& want : kEntries) {
     const auto* entry = got.store.Find(want.key);
@@ -373,6 +459,29 @@ void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
     EXPECT_DOUBLE_EQ(entry->median_ms(), want.median);
     EXPECT_DOUBLE_EQ(entry->p95_ms(), want.p95);
   }
+
+  // The queries merge fine entries at query time and reproduce, bit for bit,
+  // the values the rollup entries they read stored: per-app TCP
+  // (Whatsapp, Youtube) and per-(ISP, net type) DNS (JioNet over LTE).
+  auto apps = mopcollect::TcpAppStatsOf(got.store, got.apps);
+  ASSERT_EQ(apps.size(), 2u);
+  EXPECT_EQ(apps[0].app, "Whatsapp");
+  EXPECT_EQ(apps[0].count, 2u);
+  EXPECT_EQ(apps[0].median_ms, 99.532492640417175);
+  EXPECT_EQ(apps[0].p95_ms, 117.21552074646188);
+  EXPECT_EQ(apps[0].mean_ms, 100.375);
+  EXPECT_EQ(apps[1].app, "Youtube");
+  EXPECT_EQ(apps[1].count, 1u);
+  EXPECT_EQ(apps[1].median_ms, 45.627447559716344);
+  EXPECT_EQ(apps[1].p95_ms, 45.627447559716344);
+  EXPECT_EQ(apps[1].mean_ms, 45.0);
+  auto isps = mopcollect::IspDnsStatsOf(got.store, got.isps);
+  ASSERT_EQ(isps.size(), 1u);
+  EXPECT_EQ(isps[0].isp, "JioNet");
+  EXPECT_EQ(isps[0].net_type, 3u);
+  EXPECT_EQ(isps[0].count, 1u);
+  EXPECT_EQ(isps[0].median_ms, 30.583361201023472);
+  EXPECT_EQ(isps[0].p95_ms, 30.583361201023472);
 }
 
 TEST(Snapshot, GoldenVersion1DecodesToRecordedValues) {
@@ -462,8 +571,11 @@ TEST(Snapshot, GoldenFilesReencodeAsCanonicalVersion3) {
 // A bucket index outside the span the input clamps allow cannot come from a
 // sketch. Restored, a far-off entry lo_index would make FleetView's merge
 // resize by the gap, and a far-off health bucket would make every crowd
-// scrape rebuild a dense sketch over it; both are refused as corrupt.
-TEST(Snapshot, RejectsBucketIndexesOutsideTheClampSpan) {
+// scrape rebuild a dense sketch over it; both are refused as corrupt. So is
+// an entry key no record could carry (an id past its string table, a kind
+// or net type outside the wire's enums), which would otherwise be served as
+// an unattributed row.
+TEST(Snapshot, RejectsOutOfRangeBucketIndexesAndEntryKeys) {
   auto v1 = ReadFixture("snapshot_v1.bin");
   auto v2 = ReadFixture("snapshot_v2.bin");
   auto decoded_v2 = mopfleet::DecodeSnapshot(v2);
@@ -490,6 +602,15 @@ TEST(Snapshot, RejectsBucketIndexesOutsideTheClampSpan) {
       // the tallies (16) and the CRC (4).
       {"v2 health bucket", v2, v2.size() - 40, 119, 2147483000},
       {"v3 health bucket", v3, v3.size() - 40, 119, 2147483000},
+      // The same entry's key (0: Whatsapp/JioNet/IN, Wi-Fi, TCP) sits 64
+      // bytes before its lo_index: low word country << 16 | net_type << 8 |
+      // kind, high word app << 16 | isp. The tables hold 3 apps, 1 ISP and 1
+      // country.
+      {"v3 entry app id past the table", v3, 148, 0, 3u << 16},
+      {"v3 entry isp id past the table", v3, 148, 0, 1},
+      {"v3 entry country id past the table", v3, 144, 0, 1u << 16},
+      {"v3 entry net type past kLte", v3, 144, 0, 4u << 8},
+      {"v3 entry kind past kDns", v3, 144, 0, 2},
   };
   for (const Patch& p : patches) {
     ASSERT_EQ(U32At(p.image, p.at), p.original) << p.what;
@@ -510,6 +631,73 @@ TEST(Snapshot, RejectsBucketIndexesOutsideTheClampSpan) {
   EXPECT_TRUE(mopfleet::DecodeSnapshot(edge).ok());
   PatchU32(&edge, 208, static_cast<uint32_t>(range->hi - 9));
   EXPECT_FALSE(mopfleet::DecodeSnapshot(edge).ok());
+}
+
+// Encoders before queries merged fine keys also wrote, per fine key, a
+// per-app and a per-ISP rollup entry with wildcard components, and counted
+// their folds in samples_folded. A version-3 image of that shape loads into
+// the state a fresh ingest of its records builds.
+TEST(Snapshot, LegacyRollupEntriesAreDroppedOnLoad) {
+  mopcollect::CollectorServer server({.shards = 8});
+  IngestRandomRecords(&server, /*seed=*/31, /*batches=*/6);
+  const uint64_t records = server.counters().records_ingested;
+  const auto fresh = server.ExportState();
+  ASSERT_EQ(fresh.store.samples_folded(), records);
+
+  // The wildcard key components of those rollups. The encoders counted
+  // three folds per record.
+  constexpr uint16_t kLegacyAny = 0xfffe;
+  constexpr uint8_t kLegacyAnyByte = 0xfe;
+  auto with_rollups = [&](uint64_t samples_folded) {
+    auto state = server.ExportState();
+    for (const auto& [k, entry] : fresh.store.Entries()) {
+      for (const mopcollect::AggregateKey& rollup :
+           {mopcollect::AggregateKey{k.app_id, kLegacyAny, kLegacyAny, kLegacyAnyByte, k.kind},
+            mopcollect::AggregateKey{kLegacyAny, k.isp_id, kLegacyAny, k.net_type, k.kind}}) {
+        state.store.MutableEntry(rollup).MergeFrom(*entry);
+      }
+    }
+    state.store.set_samples_folded(samples_folded);
+    return mopfleet::EncodeSnapshot(state);
+  };
+  auto image = with_rollups(3 * records);
+  EXPECT_EQ(image[2], 3u);
+  auto decoded = mopfleet::DecodeSnapshot(image);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const auto& got = decoded.value();
+  EXPECT_EQ(got.store.samples_folded(), records);
+  EXPECT_EQ(got.store.key_count(), fresh.store.key_count());
+  // Byte for byte the state a fresh ingest of the records builds.
+  EXPECT_EQ(mopfleet::EncodeSnapshot(got), mopfleet::EncodeSnapshot(fresh));
+
+  auto got_apps = mopcollect::TcpAppStatsOf(got.store, got.apps);
+  auto want_apps = server.TcpAppStats();
+  ASSERT_EQ(got_apps.size(), want_apps.size());
+  for (size_t i = 0; i < got_apps.size(); ++i) {
+    EXPECT_EQ(got_apps[i].app, want_apps[i].app);
+    EXPECT_EQ(got_apps[i].count, want_apps[i].count);
+    EXPECT_DOUBLE_EQ(got_apps[i].median_ms, want_apps[i].median_ms);
+    EXPECT_DOUBLE_EQ(got_apps[i].p95_ms, want_apps[i].p95_ms);
+    EXPECT_NEAR(got_apps[i].mean_ms, want_apps[i].mean_ms, 1e-9);
+  }
+  auto got_isps = mopcollect::IspDnsStatsOf(got.store, got.isps);
+  auto want_isps = server.IspDnsStats();
+  ASSERT_EQ(got_isps.size(), want_isps.size());
+  for (size_t i = 0; i < got_isps.size(); ++i) {
+    EXPECT_EQ(got_isps[i].isp, want_isps[i].isp);
+    EXPECT_EQ(got_isps[i].net_type, want_isps[i].net_type);
+    EXPECT_EQ(got_isps[i].count, want_isps[i].count);
+    EXPECT_DOUBLE_EQ(got_isps[i].median_ms, want_isps[i].median_ms);
+    EXPECT_DOUBLE_EQ(got_isps[i].p95_ms, want_isps[i].p95_ms);
+  }
+
+  // The rollups hold two folds per record: below that, samples_folded would
+  // go negative.
+  EXPECT_TRUE(mopfleet::DecodeSnapshot(with_rollups(2 * records)).ok());
+  auto r = mopfleet::DecodeSnapshot(with_rollups(2 * records - 1));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("rollup counts exceed samples_folded"), std::string::npos)
+      << r.status().ToString();
 }
 
 // Restart recovery: a restored collector recognizes re-deliveries of batches
@@ -592,8 +780,6 @@ TEST(FleetView, MergesStoresAcrossDifferentInternerIdSpaces) {
   EXPECT_EQ(view.TcpAppStats()[0].count, reference_stats[0].count);
 }
 
-// ---- Multi-lane ingest ----
-
 // Crowd rollup across the fleet: live collectors and snapshot files merge
 // into one HealthStore — counters add, gauges resolve per device by frame
 // seq, and a device seen by two collectors (failover) counts once.
@@ -661,85 +847,6 @@ TEST(HealthStore, MergeFromResolvesGaugesBySeqWrapAware) {
   ASSERT_TRUE(x.CounterValue("mopeye_device_made_total", &v));
   EXPECT_EQ(v, 6u);
   EXPECT_EQ(x.device_count(), 2u);
-}
-
-TEST(MultiLaneIngest, LanesProduceIdenticalAggregatesToInline) {
-  mopsim::EventLoop loop;
-  mopcollect::CollectorServer inline_server({.shards = 16});
-  mopcollect::CollectorServer laned({.shards = 16, .ingest_lanes = 4});
-  laned.EnableIngestLanes(&loop);
-  EXPECT_EQ(laned.ingest_lane_count(), 4u);
-
-  moputil::Rng rng(23);
-  for (uint32_t device = 0; device < 6; ++device) {
-    std::vector<double> rtts;
-    for (int i = 0; i < 400; ++i) {
-      rtts.push_back(rng.LogNormalMedian(50.0 + 40.0 * (device % 3), 0.5));
-    }
-    std::string app = device % 2 == 0 ? "Whatsapp" : "Youtube";
-    IngestRecords(&inline_server, device, 1, app, rtts);
-    IngestRecords(&laned, device, 1, app, rtts);
-  }
-  // Lane folds are simulated-thread work: they land when the loop runs.
-  EXPECT_LT(laned.store().samples_folded(), inline_server.store().samples_folded());
-  loop.Run();
-
-  EXPECT_EQ(laned.store().samples_folded(), inline_server.store().samples_folded());
-  EXPECT_EQ(laned.store().key_count(), inline_server.store().key_count());
-  EXPECT_GT(laned.ingest_lane_busy(), 0);
-  for (const auto& [key, entry] : inline_server.store().Match()) {
-    const auto* other = laned.store().Find(key);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(other->count(), entry->count());
-    EXPECT_DOUBLE_EQ(other->median_ms(), entry->median_ms());
-  }
-}
-
-// Regression: with durable acks + ingest lanes, a snapshot can be cut while
-// a batch's folds are still queued on a lane (its dedup record and counter
-// are already in, and its withheld ack will be released by this snapshot).
-// The export must include those pending folds — otherwise a crash in that
-// window loses the records while the restored dedup window rejects their
-// re-delivery.
-TEST(MultiLaneIngest, SnapshotCutMidLaneIncludesPendingFolds) {
-  mopsim::EventLoop loop;
-  mopcollect::CollectorServer server({.shards = 16, .durable_acks = true, .ingest_lanes = 4});
-  server.EnableIngestLanes(&loop);
-
-  IngestRecords(&server, /*device=*/1, /*seq=*/50, "Whatsapp", {100, 200, 300, 400});
-  // Lane tasks have not run: the live store is empty, but the batch is
-  // already dedup-recorded and counted.
-  ASSERT_EQ(server.store().samples_folded(), 0u);
-  ASSERT_EQ(server.counters().records_ingested, 4u);
-
-  // Simulated crash directly after a snapshot cut at this instant.
-  auto decoded = mopfleet::DecodeSnapshot(mopfleet::EncodeSnapshot(server.ExportState()));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  mopcollect::CollectorServer restarted;
-  restarted.ImportState(std::move(decoded).value());
-
-  // The records made it into the snapshot despite the lanes never running...
-  auto stats = restarted.TcpAppStats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].count, 4u);
-  // ...and the re-delivered frame is recognized as a duplicate, not lost.
-  mopcollect::BatchBuilder builder(1, 50);
-  for (double rtt : {100.0, 200.0, 300.0, 400.0}) {
-    builder.Add(MakeMeasurement("Whatsapp", "d.com", rtt));
-  }
-  auto frame = mopcollect::EncodeBatchFrame(builder.TakeBatch());
-  ASSERT_TRUE(restarted.IngestPayload({frame.data() + 4, frame.size() - 4}).ok());
-  EXPECT_EQ(restarted.counters().batches_duplicate, 1u);
-  EXPECT_EQ(restarted.counters().records_ingested, 4u);
-
-  // Back on the original server, the lanes eventually apply the same folds
-  // exactly once (pending lists drain; no double-apply from the export).
-  loop.Run();
-  EXPECT_EQ(server.store().samples_folded(), restarted.store().samples_folded());
-  auto live = server.TcpAppStats();
-  ASSERT_EQ(live.size(), 1u);
-  EXPECT_EQ(live[0].count, 4u);
-  EXPECT_DOUBLE_EQ(live[0].median_ms, stats[0].median_ms);
 }
 
 // ---- Uploader failover ----
