@@ -3,16 +3,19 @@
 # outputs, so a perf/refactor PR can prove the experiment numbers did not
 # move:
 #
-#   bench/baselines/diff_baselines.sh <build-dir> [bench...]
+#   bench/baselines/diff_baselines.sh <build-dir> [baseline...]
 #
-# Every binary runs at --scale=1.0 with the default seed — the same flags
-# used to capture the baselines (see capture note below). Exits nonzero if
-# any output differs; the diff is printed.
+# Baseline <name>.txt is the output of build/bench/<name> --scale=1.0 with the
+# default seed, except for the entries in `variants` below, which name the
+# binary and extra flags they were captured with: table3_lanes8x8 is the
+# saturated relay profile, table3_throughput --lanes=8 --tun-queues=8. Exits
+# nonzero if any output differs; the diff is printed. With no arguments,
+# every baseline in this directory is checked.
 #
 # Not covered: micro_hotpath (google-benchmark wall-clock timings) and
 # collector_ingest (throughput rates are machine-dependent). Re-capture
 # after an *intentional* output change with:
-#   build/bench/<name> --scale=1.0 > bench/baselines/<name>.txt
+#   build/bench/<binary> --scale=1.0 [flags] > bench/baselines/<name>.txt
 #
 # Caveat: outputs are deterministic for a fixed seed on one platform;
 # cross-platform floating-point differences (libm, FMA) can produce benign
@@ -27,6 +30,11 @@ build_dir=$1
 shift
 baseline_dir=$(dirname "$0")
 
+# Baselines captured from a non-default invocation: name -> "binary flags".
+declare -A variants=(
+  [table3_lanes8x8]="table3_throughput --lanes=8 --tun-queues=8"
+)
+
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
   for f in "$baseline_dir"/*.txt; do
@@ -39,7 +47,8 @@ trap 'rm -f "$tmp"' EXIT
 
 failures=0
 for bench in "${benches[@]}"; do
-  bin="$build_dir/bench/$bench"
+  read -r binary flags <<< "${variants[$bench]:-$bench}"
+  bin="$build_dir/bench/$binary"
   ref="$baseline_dir/$bench.txt"
   if [ ! -x "$bin" ]; then
     echo "MISSING  $bench (no binary at $bin)"
@@ -51,7 +60,8 @@ for bench in "${benches[@]}"; do
     failures=$((failures + 1))
     continue
   fi
-  "$bin" --scale=1.0 > "$tmp" 2>&1
+  # $flags stays unquoted: it is a list of words.
+  "$bin" --scale=1.0 $flags > "$tmp" 2>&1
   if diff_out=$(diff -u "$ref" "$tmp"); then
     echo "OK       $bench"
   else

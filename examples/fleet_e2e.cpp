@@ -154,7 +154,6 @@ int main(int argc, char** argv) {
   mopeye::Config engine_cfg;
   engine_cfg.telemetry = true;
   engine_cfg.worker_lanes = 2;
-  engine_cfg.trace_sample_period = 4;  // stamp trace contexts on the relay path
   mopeye::MopEyeEngine engine(&phone, engine_cfg);
   const moppkt::SocketAddr engine_metrics_addr{moppkt::IpAddr(10, 99, 0, 200), 9100};
   auto metrics_service =

@@ -43,7 +43,6 @@ class AndroidDevice {
   moputil::Rng& rng() { return rng_; }
   int sdk_version() const { return sdk_version_; }
   const std::string& model() const { return model_; }
-  void set_model(std::string m) { model_ = std::move(m); }
 
   // ---- VPN integration (used by VpnService) ----
   // Activates VPN routing: all kernel-originated app packets go to `tun`,

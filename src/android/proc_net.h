@@ -51,8 +51,6 @@ class ProcNet {
   std::string Render(moppkt::IpProto proto) const;
   size_t RowCount(moppkt::IpProto proto) const;
 
-  const ProcParseCostModel& cost_model() const { return cost_; }
-  void set_cost_model(ProcParseCostModel m) { cost_ = std::move(m); }
   // Samples the time one full read+parse of tcp6|tcp (or udp6|udp) takes.
   moputil::SimDuration SampleParseCost(moppkt::IpProto proto, moputil::Rng& rng) const;
 

@@ -67,8 +67,6 @@ class VpnService {
   const moppkt::IpAddr& tun_address() const { return tun_address_; }
   int protect_calls() const { return protect_calls_; }
 
-  void set_protect_cost(std::shared_ptr<moputil::DelayModel> m) { protect_cost_ = std::move(m); }
-
  private:
   friend class Builder;
   moputil::SimDuration SampleProtectCost();

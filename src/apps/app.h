@@ -63,7 +63,6 @@ class App {
   const std::string& package() const { return package_; }
   const std::string& label() const { return label_; }
   Mode mode() const { return mode_; }
-  void set_mode(Mode m) { mode_ = m; }
   mopdroid::AndroidDevice* device() { return device_; }
   TunNetStack* stack() { return stack_; }
 

@@ -7,8 +7,6 @@ mopeye::Config MopEyeConfig() { return mopeye::Config(); }
 mopeye::Config HaystackConfig() {
   mopeye::Config cfg;
   cfg.read_mode = mopeye::Config::TunReadMode::kSleepAdaptive;
-  cfg.adaptive_min_sleep = moputil::Millis(1);
-  cfg.adaptive_max_sleep = moputil::Millis(100);
   cfg.write_scheme = mopeye::Config::WriteScheme::kQueueWrite;
   cfg.put_scheme = mopeye::Config::PutScheme::kOldPut;
   cfg.mapping = mopeye::Config::MappingStrategy::kCacheBased;

@@ -125,7 +125,6 @@ class CollectorServer {
   // pointer), which a composition root gets for free by destroying it after
   // the event loop finishes.
   void Shutdown();
-  bool shut_down() const { return shut_down_; }
 
   // Telemetry (moptel): builds an internal registry over the collector's
   // counters and store, plus a flight recorder for snapshot / durable-ack

@@ -107,11 +107,9 @@ class Uploader : public mopeye::EngineService {
   // predate it skip the frame and the measurement path is unchanged.
   void EnableHealthExport(const moptel::Registry* registry,
                           std::vector<std::string> allow_prefixes);
-  bool health_export_enabled() const { return health_registry_ != nullptr; }
 
   const Counters& counters() const { return counters_; }
   size_t pending_records() const { return pending_.size() + inflight_.size(); }
-  bool upload_in_flight() const { return channel_ != nullptr; }
   // The collector address the next attempt will use.
   const moppkt::SocketAddr& current_collector() const;
 

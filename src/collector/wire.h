@@ -231,7 +231,6 @@ class BatchBuilder {
   explicit BatchBuilder(uint32_t device_id, uint32_t batch_seq = 0);
 
   void Add(const mopeye::Measurement& m);
-  size_t record_count() const { return batch_.records.size(); }
   // Moves the assembled batch out; the builder is spent afterwards.
   WireBatch TakeBatch();
 
@@ -282,7 +281,6 @@ class FrameReader {
   std::optional<std::vector<uint8_t>> Next();
 
   const moputil::Status& status() const { return status_; }
-  size_t buffered_bytes() const { return buf_.size() - consumed_; }
 
  private:
   // Flat buffer with a consumed-prefix offset: appends and frame extraction

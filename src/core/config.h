@@ -8,6 +8,10 @@
 //   mapping          — §3.3 naive per-SYN vs cache-based (Haystack) vs lazy
 //   timestamp_mode   — §2.4 blocking socket-connect thread vs selector event
 //   protect_mode     — §3.5.2 per-socket protect() vs addDisallowedApplication
+// A field exists only because some bench, preset or example sets it. Fixed
+// parameters (the relay's MSS, window and socket buffers, the newPut spin
+// window, the lazy-mapping wait slice, the adaptive-sleep bounds) are
+// constants in the one file that reads them.
 #ifndef MOPEYE_CORE_CONFIG_H_
 #define MOPEYE_CORE_CONFIG_H_
 
@@ -75,28 +79,16 @@ struct Config {
     kSleepAdaptive,  // Haystack-style: back off when idle, reset on traffic
   };
   TunReadMode read_mode = TunReadMode::kBlocking;
-  SimDuration sleep_interval = moputil::Millis(100);      // kSleepFixed
-  SimDuration adaptive_min_sleep = moputil::Millis(1);    // kSleepAdaptive
-  SimDuration adaptive_max_sleep = moputil::Millis(100);  // kSleepAdaptive
+  SimDuration sleep_interval = moputil::Millis(100);  // kSleepFixed
 
   enum class WriteScheme { kDirectWrite, kQueueWrite };
   WriteScheme write_scheme = WriteScheme::kQueueWrite;
 
   enum class PutScheme { kOldPut, kNewPut };
   PutScheme put_scheme = PutScheme::kNewPut;
-  // Spin rounds before the writer gives up and wait()s (§3.5.1's counter
-  // threshold). The window must outlast typical intra-burst packet gaps so
-  // producers almost never find the writer parked.
-  int newput_spin_rounds = 1500;
-  // Fraction of spin wall-time charged as CPU: the check loop yields between
-  // rounds, so it shares the core rather than burning it outright.
-  double spin_cpu_fraction = 0.35;
 
   enum class MappingStrategy { kNaivePerSyn, kCacheBased, kLazy };
   MappingStrategy mapping = MappingStrategy::kLazy;
-  // Sleep slice a non-parsing socket-connect thread waits for the working
-  // thread's results (§3.3 picks 50 ms).
-  SimDuration lazy_wait_slice = moputil::Millis(50);
 
   enum class TimestampMode { kBlockingConnectThread, kSelector };
   TimestampMode timestamp_mode = TimestampMode::kBlockingConnectThread;
@@ -113,13 +105,13 @@ struct Config {
   // paper's single-MainWorker model and keeps every checked-in bench baseline
   // byte-identical. With N > 1 the TunReader classifies each packet by
   // FlowKeyHash % N and enqueues it on the owning lane; each lane owns its
-  // own selector, TCP-client table, DNS relay state, buffer pool, and
-  // measurement shard, so no flow state is ever shared across lanes. With
-  // N > 1 the TunWriter also batches: it drains its whole queue in one
-  // writev-style submission (one syscall-class cost plus
-  // tun_write_batch_extra per extra packet), since all lanes feed it and
-  // per-packet write() would re-serialize them there. One lane keeps the
-  // paper's per-packet write(), which the checked-in baselines depend on.
+  // own selector, TCP-client table, DNS relay state and buffer pool, so no
+  // flow state is ever shared across lanes. With N > 1 the TunWriter also
+  // batches: it drains its whole queue in one writev-style submission (one
+  // syscall-class cost plus tun_write_batch_extra per extra packet), since
+  // all lanes feed it and per-packet write() would re-serialize them there.
+  // One lane keeps the paper's per-packet write(), which the checked-in
+  // baselines depend on.
   int worker_lanes = 1;
 
   // ---- Burst ingress + work stealing (thread model v3) ----
@@ -176,22 +168,9 @@ struct Config {
   // preallocated buckets (no atomics, locks, or steady-state allocation).
   bool telemetry = false;
 
-  // Cross-tier record tracing: when > 0, every measurement is stamped with a
-  // compact TraceContext at creation (device hash, lane, seq, birth time) and
-  // records whose trace id falls in a 1/N hash slice ride upload telemetry
-  // frames with per-hop span timings (device -> collector -> fold ->
-  // durable). 0 (the default) stamps nothing — measurements, CSV output, and
-  // the batch wire format are byte-identical to pre-tracing builds.
-  uint32_t trace_sample_period = 0;
-
-  // Relay TCP parameters (§3.4).
-  uint16_t mss = 1460;
-  uint16_t window = 65535;
-  // Socket read buffer (and write buffer) per client.
-  size_t socket_buffer = 65535;
-
+  // DNS queries get a temporary thread and a measurement (§2.4); off, they
+  // are relayed like any other UDP datagram.
   bool measure_dns = true;
-  bool relay_non_dns_udp = true;
 
   // ---- Baseline hooks (Haystack emulation) ----
   // Per-packet traffic content inspection cost, charged on the MainWorker for

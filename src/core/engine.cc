@@ -13,6 +13,11 @@ namespace mopeye {
 
 namespace {
 constexpr moputil::SimDuration kUdpIdleTimeout = moputil::Seconds(60);
+// Relay TCP parameters (§3.4): the MSS and window advertised to the app, and
+// each client's socket read (and write) buffer.
+constexpr uint16_t kMss = 1460;
+constexpr uint16_t kWindow = 65535;
+constexpr size_t kSocketBuffer = 65535;
 
 // Per-lane emission pools. Static duration like BufPool::Default(): packets
 // emitted by a lane can still sit in the TunWriter queue, pending event-loop
@@ -74,10 +79,6 @@ MopEyeEngine::MopEyeEngine(mopdroid::AndroidDevice* device, Config config)
   }
   device_->package_manager().Install(kMopEyeUid, "com.mopeye", "MopEye");
   mapper_ = std::make_unique<PacketToAppMapper>(device_, &config_);
-  // Reads of the merged store pull the lane shards in first, so a raw
-  // MeasurementStore* captured at composition time (the Uploader's) keeps
-  // observing lane-sharded records.
-  store_.SetRefillHook([this] { MergeStoreShards(); });
   if (config_.telemetry) {
     BuildTelemetry();
   }
@@ -456,26 +457,6 @@ size_t MopEyeEngine::active_clients() const {
   return n;
 }
 
-void MopEyeEngine::MergeStoreShards() {
-  std::vector<Measurement> batch;
-  for (auto& lane : lanes_) {
-    std::vector<Measurement> shard = lane->store.TakeRecords();
-    batch.insert(batch.end(), std::make_move_iterator(shard.begin()),
-                 std::make_move_iterator(shard.end()));
-  }
-  if (batch.empty()) {
-    return;
-  }
-  // Each shard is time-ordered (sim time is monotonic); a stable sort merges
-  // them deterministically, and everything already merged is older than this
-  // batch, so appending keeps the global time order.
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const Measurement& a, const Measurement& b) { return a.time < b.time; });
-  for (auto& m : batch) {
-    store_.Add(std::move(m));
-  }
-}
-
 MopEyeEngine::ResourceUsage MopEyeEngine::resources() const {
   ResourceUsage u;
   if (reader_) {
@@ -504,7 +485,7 @@ MopEyeEngine::ResourceUsage MopEyeEngine::resources() const {
   }
   // Memory model: per-client socket read+write buffers (§3.4 sizes them at
   // 64 KiB), queue high-water, and a fixed service overhead.
-  size_t per_client = 2 * config_.socket_buffer + 1024 + config_.extra_memory_per_client;
+  size_t per_client = 2 * kSocketBuffer + 1024 + config_.extra_memory_per_client;
   size_t peak_clients = std::max(counters().clients_high_water, active_clients());
   u.memory_bytes = 10 * 1024 * 1024                      // service heap + runtime-resident
                    + config_.extra_memory_base           // inspection buffers / caches
@@ -646,7 +627,7 @@ void MopEyeEngine::ProcessTunPacket(WorkerLane& lane, moppkt::PacketBuf raw) {
     ++lane.counters.udp_packets;
     if (pkt.udp->dst_port == 53 && config_.measure_dns) {
       HandleDnsQuery(lane, pkt);
-    } else if (config_.relay_non_dns_udp) {
+    } else {
       HandleUdp(lane, pkt);
     }
     return;
@@ -675,8 +656,7 @@ void MopEyeEngine::HandleSyn(WorkerLane& lane, const moppkt::ParsedPacket& pkt) 
     return;
   }
 
-  auto client = std::make_shared<TcpClient>(flow, &lane, lane.rng.NextU32(), config_.mss,
-                                            config_.window);
+  auto client = std::make_shared<TcpClient>(flow, &lane, lane.rng.NextU32(), kMss, kWindow);
   client->sm.NoteSyn(*pkt.tcp);
   lane.clients[flow] = client;
   lane.counters.clients_high_water =
@@ -777,19 +757,17 @@ void MopEyeEngine::StartExternalConnect(const std::shared_ptr<TcpClient>& client
         // The connect() call returns: wake the socket-connect thread and
         // take the post-connect() timestamp there.
         c->connect_lane->Submit(config_.costs.thread_wake->Sample(c->home->rng), 0,
-                                [this, c](moputil::SimTime start, moputil::SimTime) {
-                                  FinishConnect(c, start);
-                                });
+                                [this, c] { FinishConnect(c); });
       });
     });
   });
 }
 
-void MopEyeEngine::FinishConnect(const std::shared_ptr<TcpClient>& client,
-                                 moputil::SimTime t1) {
+void MopEyeEngine::FinishConnect(const std::shared_ptr<TcpClient>& client) {
   if (client->removed) {
     return;
   }
+  moputil::SimTime t1 = loop_->Now();
   WorkerLane* home = client->home;
   ++home->counters.connects_ok;
   if (telemetry_) {
@@ -865,13 +843,10 @@ void MopEyeEngine::MaybeRecordTcpMeasurement(const std::shared_ptr<TcpClient>& c
   m.country = device_->net().profile().country;
   m.device_id = device_->model();
   StampTrace(&m, *client->home);
-  client->home->store.Add(std::move(m));
+  store_.Add(std::move(m));
 }
 
 void MopEyeEngine::StampTrace(Measurement* m, WorkerLane& home) {
-  if (config_.trace_sample_period == 0) {
-    return;
-  }
   if (trace_device_hash_ == 0) {
     uint64_t h = 1469598103934665603ull;  // FNV-1a over the model string
     for (char c : device_->model()) {
@@ -1102,20 +1077,18 @@ void MopEyeEngine::HandleSocketReadable(const std::shared_ptr<TcpClient>& client
   }
   WorkerLane* home = client->home;
   // §2.3 "Socket Read": pull from the (64 KiB) read buffer and construct data
-  // packets for the internal connection. The read lands in the lane-wide
-  // scratch; only the bytes actually read are carried across the lane hop.
-  home->socket_read_scratch.resize(config_.socket_buffer);
-  size_t n = client->channel->Read(home->socket_read_scratch);
+  // packets for the internal connection. The read lands straight in the
+  // buffer the lane task carries.
+  std::vector<uint8_t> buf(std::min(client->channel->available(), kSocketBuffer));
+  size_t n = client->channel->Read(buf);
   if (n == 0) {
     return;
   }
-  std::vector<uint8_t> buf(home->socket_read_scratch.begin(),
-                           home->socket_read_scratch.begin() + static_cast<long>(n));
   home->counters.bytes_server_to_app += n;
   moputil::SimDuration cost = config_.costs.socket_op->Sample(home->rng);
   if (config_.content_inspection) {
     // Inspect each MSS-sized chunk of the server's data.
-    for (size_t off = 0; off < n; off += config_.mss) {
+    for (size_t off = 0; off < n; off += kMss) {
       cost += config_.content_inspection->Sample(home->rng);
     }
   }
@@ -1165,8 +1138,8 @@ void MopEyeEngine::EmitRawToApp(moppkt::PacketBuf datagram, mopsim::ActorLane* p
     return;
   }
   moputil::SimDuration overhead = writer_->SubmitPacket(std::move(datagram));
-  if (producer != nullptr && overhead > 0) {
-    producer->Submit(0, overhead, [] {});
+  if (producer != nullptr) {
+    producer->Occupy(0, overhead);
   }
 }
 
@@ -1430,7 +1403,7 @@ void MopEyeEngine::HandleDnsQuery(WorkerLane& lane, const moppkt::ParsedPacket& 
     udp->socket = mopnet::UdpSocket::Create(&device_->net());
     udp->socket->set_owner_uid(kMopEyeUid);
     if (EffectiveProtectMode() == Config::ProtectMode::kPerSocket) {
-      udp->lane->Submit(0, vpn_->protect(*udp->socket), [] {});
+      udp->lane->Occupy(0, vpn_->protect(*udp->socket));
     }
     moppkt::SocketAddr resolver = udp->flow.remote;
     std::weak_ptr<UdpClient> weak = udp;
@@ -1442,13 +1415,12 @@ void MopEyeEngine::HandleDnsQuery(WorkerLane& lane, const moppkt::ParsedPacket& 
       }
       // Blocking-mode receive: timestamp on the DNS thread's wakeup (§2.4).
       u->lane->Submit(config_.costs.thread_wake->Sample(u->home->rng), 0,
-                      [this, u, from, response = std::move(response)](
-                          moputil::SimTime start, moputil::SimTime) mutable {
+                      [this, u, from, response = std::move(response)]() mutable {
                         ++u->home->counters.dns_responses;
                         Measurement m;
-                        m.time = start;
+                        m.time = loop_->Now();
                         m.kind = MeasureKind::kDns;
-                        m.rtt = start - u->query_t0;
+                        m.rtt = m.time - u->query_t0;
                         m.uid = -1;  // DNS is system-wide; no app mapping
                         m.app = "(dns)";
                         m.domain = u->query_domain;
@@ -1458,7 +1430,7 @@ void MopEyeEngine::HandleDnsQuery(WorkerLane& lane, const moppkt::ParsedPacket& 
                         m.country = device_->net().profile().country;
                         m.device_id = device_->model();
                         StampTrace(&m, *u->home);
-                        u->home->store.Add(std::move(m));
+                        store_.Add(std::move(m));
                         // Relay the answer back through the tunnel.
                         moppkt::PacketBuf datagram =
                             u->home->pool->AcquireSized(28 + response.size());
@@ -1509,30 +1481,25 @@ void MopEyeEngine::HandleUdp(WorkerLane& lane, const moppkt::ParsedPacket& pkt) 
       u->last_activity = loop_->Now();
     };
     lane.udp_clients[flow] = udp;
-    // Idle GC for plain UDP associations.
-    WorkerLane* l = &lane;
-    std::weak_ptr<UdpClient> gc_weak = udp;
-    std::function<void()> gc = [this, l, gc_weak, flow]() {
-      auto u = gc_weak.lock();
-      if (!u) {
-        return;
-      }
-      if (loop_->Now() - u->last_activity >= kUdpIdleTimeout) {
-        l->udp_clients.erase(flow);
-        return;
-      }
-      loop_->Schedule(kUdpIdleTimeout, [this, l, gc_weak, flow] {
-        auto u2 = gc_weak.lock();
-        if (u2 && loop_->Now() - u2->last_activity >= kUdpIdleTimeout) {
-          l->udp_clients.erase(flow);
-        }
-      });
-    };
-    loop_->Schedule(kUdpIdleTimeout, gc);
+    ArmUdpIdleCheck(udp, loop_->Now() + kUdpIdleTimeout);
   }
   udp->last_activity = loop_->Now();
   std::vector<uint8_t> payload(pkt.udp->payload.begin(), pkt.udp->payload.end());
   udp->socket->SendTo(flow.remote, std::move(payload));
+}
+
+void MopEyeEngine::ArmUdpIdleCheck(std::weak_ptr<UdpClient> udp, moputil::SimTime at) {
+  loop_->ScheduleAt(at, [this, udp] {
+    auto u = udp.lock();
+    if (!u) {
+      return;
+    }
+    if (loop_->Now() - u->last_activity >= kUdpIdleTimeout) {
+      u->home->udp_clients.erase(u->flow);
+    } else {
+      ArmUdpIdleCheck(u, u->last_activity + kUdpIdleTimeout);
+    }
+  });
 }
 
 // ---------------- Telemetry accessors ----------------

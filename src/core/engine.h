@@ -10,10 +10,12 @@
 //   TunReader --(FlowKeyHash % N)--> lane read queues -> Selector.wakeup()
 //
 //   WorkerLane[i] (i = 0..N-1, "MainWorker" lanes):
-//     owns its Selector, TCP-client table, DNS relay state, BufPool,
-//     counters and measurement shard. parse/map/relay for the flows hashing
-//     to it; socket events and connect completions route back to the flow's
-//     owning lane, so no flow state is ever shared across lanes.
+//     owns its Selector, TCP-client table, DNS relay state, BufPool and
+//     counters. parse/map/relay for the flows hashing to it; socket events
+//     and connect completions route back to the flow's owning lane, so no
+//     flow state is ever shared across lanes. Every lane appends its
+//     measurements to the engine's one store: lanes are actors on one event
+//     loop, so appends happen in event (= time) order.
 //
 //   socket-connect thread (per SYN): protect? -> blocking connect ->
 //     timestamp -> lazy mapping -> register with the owning lane's selector
@@ -128,11 +130,8 @@ class MopEyeEngine {
   EngineService* FindService(std::string_view name) const;
   size_t service_count() const { return services_.size(); }
 
-  // Merged view over the per-lane measurement shards. Every read accessor of
-  // the returned store refills from the shards (stable-ordered by record
-  // time) via its refill hook, so even consumers that captured the pointer
-  // once — the crowdsourcing Uploader polls it for its whole lifetime — see
-  // lane records regardless of worker_lanes.
+  // Every measurement the engine has recorded and not yet handed out, in
+  // time order, whatever worker_lanes is.
   MeasurementStore& store() { return store_; }
   PacketToAppMapper& mapper() { return *mapper_; }
   TunReader* tun_reader() { return reader_.get(); }
@@ -173,7 +172,7 @@ class MopEyeEngine {
 
   // ---- Telemetry (Config::telemetry) ----
   // Null when telemetry is off: the relay hot paths carry a single branch
-  // and all 17 bench baselines stay byte-identical.
+  // and every bench baseline stays byte-identical.
   moptel::Registry* telemetry_registry() const;
   moptel::FlightRecorder* flight_recorder() const;
 
@@ -294,13 +293,10 @@ class MopEyeEngine {
     std::unordered_map<moppkt::FlowKey, std::shared_ptr<UdpClient>, moppkt::FlowKeyHash>
         udp_clients;
     Counters counters;            // lane shard; merged by counters()
-    MeasurementStore store;       // lane shard; merged by store()
-    // Per-lane trace sequence: with Config::trace_sample_period > 0 every
-    // measurement born on this lane gets (lane, ++trace_seq) in its
-    // TraceContext, so ids are unique per device without cross-lane state.
+    // Per-lane trace sequence: every measurement born on this lane gets
+    // (lane, ++trace_seq) in its TraceContext, so ids are unique per device
+    // without cross-lane state.
     uint32_t trace_seq = 0;
-    // Reused destination for this lane's synchronous external-socket reads.
-    std::vector<uint8_t> socket_read_scratch;
     // Work stealing, thief side: flows whose kHandoffIn token this lane has
     // seen but whose state the victim has not handed over yet. Packets of an
     // arriving flow are parked (in order) instead of processed, then drained
@@ -332,11 +328,12 @@ class MopEyeEngine {
   void ProcessTunPacket(WorkerLane& lane, moppkt::PacketBuf raw);
   void HandleSyn(WorkerLane& lane, const moppkt::ParsedPacket& pkt);
   void StartExternalConnect(const std::shared_ptr<TcpClient>& client);
-  void FinishConnect(const std::shared_ptr<TcpClient>& client, moputil::SimTime t1);
+  // Runs on the connect thread as connect() returns; Now() is the
+  // post-connect timestamp.
+  void FinishConnect(const std::shared_ptr<TcpClient>& client);
   // Stores the record once both the RTT and the app mapping are available.
   void MaybeRecordTcpMeasurement(const std::shared_ptr<TcpClient>& client);
-  // Stamps the cross-tier TraceContext on a freshly built measurement
-  // (no-op when Config::trace_sample_period == 0).
+  // Stamps the cross-tier TraceContext on a freshly built measurement.
   void StampTrace(Measurement* m, WorkerLane& home);
   // `raw` is the pooled buffer `pkt`'s views point into; if the segment
   // carries in-order payload the buffer moves into the client's staged
@@ -347,6 +344,10 @@ class MopEyeEngine {
   void FlushSocketWrites(const std::shared_ptr<TcpClient>& client);
   void HandleSocketReadable(const std::shared_ptr<TcpClient>& client);
   void HandleUdp(WorkerLane& lane, const moppkt::ParsedPacket& pkt);
+  // Idle GC for a plain UDP association: at `at`, drops the client and its
+  // socket if the flow has been silent for kUdpIdleTimeout, else re-arms at
+  // last_activity + kUdpIdleTimeout, so a flow lives only while it is used.
+  void ArmUdpIdleCheck(std::weak_ptr<UdpClient> udp, moputil::SimTime at);
   void HandleDnsQuery(WorkerLane& lane, const moppkt::ParsedPacket& pkt);
   void RemoveClient(const std::shared_ptr<TcpClient>& client);
 
@@ -389,8 +390,6 @@ class MopEyeEngine {
   void FlushLaneWrites(WorkerLane& lane);
 
   std::shared_ptr<TcpClient> FindClient(WorkerLane& lane, const moppkt::FlowKey& flow);
-  // Drains the per-lane measurement shards into store_ (time-ordered).
-  void MergeStoreShards();
   // Builds the registry + flight recorder and registers every engine metric
   // (X-macro counters, gauges, stage histograms, pool/tun/mapper externals).
   void BuildTelemetry();
@@ -407,7 +406,7 @@ class MopEyeEngine {
   std::unique_ptr<TunReader> reader_;
   std::unique_ptr<TunWriter> writer_;
   std::unique_ptr<PacketToAppMapper> mapper_;
-  MeasurementStore store_;  // merged view; shards drain here on access
+  MeasurementStore store_;
 
   bool running_ = false;
   std::vector<std::shared_ptr<EngineService>> services_;

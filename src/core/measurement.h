@@ -1,8 +1,10 @@
 // Measurement records and the store they accumulate in.
 //
 // One record per opportunistic measurement: a TCP connect RTT attributed to
-// an app, or a DNS query/response RTT (system-wide). The crowd study fills
-// the same store from its generator, so the analysis pipeline is shared.
+// an app, or a DNS query/response RTT (system-wide). The engine keeps one
+// store, and every worker lane appends to it as its tasks run, so records
+// sit in time order. The crowd study fills the same store from its
+// generator, so the analysis pipeline is shared.
 #ifndef MOPEYE_CORE_MEASUREMENT_H_
 #define MOPEYE_CORE_MEASUREMENT_H_
 
@@ -32,10 +34,9 @@ struct Measurement {
   std::string isp;
   std::string country;
   std::string device_id;
-  // Cross-tier provenance, stamped at creation when Config::
-  // trace_sample_period > 0; default-invalid otherwise, and absent from
-  // every pre-existing surface (CSV, batch wire records), so tracing off
-  // is byte-identical to before the field existed.
+  // Cross-tier provenance, stamped by the engine at creation. Neither the
+  // CSV nor the batch wire records carry it; the Uploader ships it only for
+  // the records its UploaderPolicy::trace_sample_period selects.
   moptel::TraceContext trace;
 };
 
@@ -44,28 +45,13 @@ class MeasurementStore {
   void Add(Measurement m) { records_.push_back(std::move(m)); }
   void Reserve(size_t n) { records_.reserve(n); }
 
-  // Invoked before every read accessor. The lane-sharded engine installs a
-  // hook that drains its per-lane shards into this store, so consumers that
-  // captured a raw pointer once (the crowdsourcing Uploader polls
-  // `store_->size()` for its whole lifetime) observe shard records without
-  // knowing the engine has lanes. Writes (Add) never trigger it, so a hook
-  // that Adds into this store cannot recurse.
-  void SetRefillHook(std::function<void()> hook) { refill_ = std::move(hook); }
-
-  const std::vector<Measurement>& records() const {
-    Refill();
-    return records_;
-  }
-  size_t size() const {
-    Refill();
-    return records_.size();
-  }
+  const std::vector<Measurement>& records() const { return records_; }
+  size_t size() const { return records_.size(); }
 
   // Moves all accumulated records out (upload drain): the store is left empty
   // and keeps working — records added afterwards accumulate and export as
   // usual. No per-record copies.
   std::vector<Measurement> TakeRecords() {
-    Refill();
     std::vector<Measurement> out = std::move(records_);
     records_.clear();
     return out;
@@ -79,14 +65,7 @@ class MeasurementStore {
   std::string ToCsv() const;
 
  private:
-  void Refill() const {
-    if (refill_) {
-      refill_();
-    }
-  }
-
   std::vector<Measurement> records_;
-  std::function<void()> refill_;
 };
 
 }  // namespace mopeye

@@ -4,6 +4,12 @@
 
 namespace mopeye {
 
+namespace {
+// Sleep slice a non-parsing socket-connect thread waits for the working
+// thread's results (§3.3 picks 50 ms).
+constexpr moputil::SimDuration kLazyWaitSlice = moputil::Millis(50);
+}  // namespace
+
 PacketToAppMapper::PacketToAppMapper(mopdroid::AndroidDevice* device, const Config* config)
     : device_(device), config_(config) {
   MOP_CHECK(device != nullptr);
@@ -124,7 +130,7 @@ void PacketToAppMapper::WaitForParse(const moppkt::FlowKey& flow, mopsim::ActorL
   // Sleeping, not spinning: the thread is off-CPU for the slice (§3.3 picks
   // 50 ms as comfortably larger than a parse).
   device_->loop()->Schedule(
-      config_->lazy_wait_slice,
+      kLazyWaitSlice,
       [this, flow, lane, done = std::move(done), requested_at, wait_slices]() mutable {
         if (parse_in_progress_) {
           if (wait_slices >= 4) {

@@ -6,6 +6,13 @@
 
 namespace mopeye {
 
+namespace {
+// Haystack-style adaptive polling: reset to the minimum sleep on traffic,
+// double on every empty poll up to the maximum.
+constexpr moputil::SimDuration kAdaptiveMinSleep = moputil::Millis(1);
+constexpr moputil::SimDuration kAdaptiveMaxSleep = moputil::Millis(100);
+}  // namespace
+
 TunReader::TunReader(mopsim::EventLoop* loop, mopdroid::TunDevice* tun, const Config* config,
                      moputil::Rng rng, std::vector<LaneSink> sinks)
     : loop_(loop),
@@ -14,7 +21,7 @@ TunReader::TunReader(mopsim::EventLoop* loop, mopdroid::TunDevice* tun, const Co
       rng_(rng),
       sinks_(std::move(sinks)),
       lane_(loop, "TunReader"),
-      adaptive_sleep_(config->adaptive_min_sleep) {
+      adaptive_sleep_(kAdaptiveMinSleep) {
   MOP_CHECK(tun != nullptr);
   MOP_CHECK(!sinks_.empty());
   for (const LaneSink& sink : sinks_) {
@@ -248,7 +255,7 @@ void TunReader::Poll() {
     // An empty read() still costs a syscall — the polling CPU tax Table 4
     // charges Haystack for.
     empty_polls_.Inc(0);
-    lane_.Submit(0, config_->costs.tun_read_syscall->Sample(rng_), [] {});
+    lane_.Occupy(0, config_->costs.tun_read_syscall->Sample(rng_));
   }
 
   moputil::SimDuration next;
@@ -257,9 +264,9 @@ void TunReader::Poll() {
     next = drained > 0 ? moputil::Micros(50) : config_->sleep_interval;
   } else {
     if (drained > 0) {
-      adaptive_sleep_ = config_->adaptive_min_sleep;
+      adaptive_sleep_ = kAdaptiveMinSleep;
     } else {
-      adaptive_sleep_ = std::min(adaptive_sleep_ * 2, config_->adaptive_max_sleep);
+      adaptive_sleep_ = std::min(adaptive_sleep_ * 2, kAdaptiveMaxSleep);
     }
     next = adaptive_sleep_;
   }

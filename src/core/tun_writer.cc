@@ -7,6 +7,16 @@
 
 namespace mopeye {
 
+namespace {
+// Spin rounds before the newPut writer gives up and wait()s (§3.5.1's counter
+// threshold). The window must outlast typical intra-burst packet gaps so
+// producers almost never find the writer parked.
+constexpr int kNewPutSpinRounds = 1500;
+// Fraction of spin wall-time charged as CPU: the check loop yields between
+// rounds, so it shares the core rather than burning it outright.
+constexpr double kSpinCpuFraction = 0.35;
+}  // namespace
+
 TunWriter::TunWriter(mopsim::EventLoop* loop, mopdroid::TunDevice* tun, const Config* config,
                      moputil::Rng rng)
     : loop_(loop), tun_(tun), config_(config), rng_(rng), lane_(loop, "TunWriter") {
@@ -70,7 +80,7 @@ moputil::SimDuration TunWriter::SubmitPacket(moppkt::PacketBuf packet) {
       // spin round — no notify needed (the newPut win). The spin ends here,
       // so only the time actually spun counts as CPU.
       spin_busy_ += static_cast<moputil::SimDuration>(
-          static_cast<double>(loop_->Now() - spin_started_) * config_->spin_cpu_fraction);
+          static_cast<double>(loop_->Now() - spin_started_) * kSpinCpuFraction);
       state_ = WriterState::kProcessing;
       ++spin_epoch_;
       lane_.Submit(costs.spin_check->Sample(rng_), 0, [this] { Pump(); });
@@ -91,7 +101,7 @@ void TunWriter::Pump() {
   const CostModels& costs = config_->costs;
   if (queue_.empty()) {
     if (config_->put_scheme == Config::PutScheme::kNewPut) {
-      // Sleep-counter: keep checking for `newput_spin_rounds` rounds before
+      // Sleep-counter: keep checking for kNewPutSpinRounds rounds before
       // parking. The check loop burns CPU but leaves the "lane" responsive —
       // a packet arriving mid-spin is picked up within one round, and only
       // the time actually spent spinning is charged (spin_busy_).
@@ -99,12 +109,12 @@ void TunWriter::Pump() {
       spin_started_ = loop_->Now();
       uint64_t epoch = ++spin_epoch_;
       moputil::SimDuration spin_window =
-          config_->newput_spin_rounds * costs.spin_check->Sample(rng_);
+          kNewPutSpinRounds * costs.spin_check->Sample(rng_);
       loop_->Schedule(spin_window, [this, epoch, spin_window] {
         if (spin_epoch_ == epoch && state_ == WriterState::kSpinning) {
           // No packet showed up during the whole window: park.
           spin_busy_ += static_cast<moputil::SimDuration>(
-              static_cast<double>(spin_window) * config_->spin_cpu_fraction);
+              static_cast<double>(spin_window) * kSpinCpuFraction);
           state_ = WriterState::kWaiting;
           ++waits_;
         }

@@ -597,7 +597,6 @@ moputil::Status Snapshotter::SnapshotNow() {
   std::vector<uint8_t> bytes = EncodeSnapshot(server_->ExportState());
   counters_.last_bytes = bytes.size();
   moputil::Status st = WriteBytesAtomic(path_, bytes);
-  last_status_ = st;
   if (st.ok()) {
     ++counters_.snapshots_written;
     server_->NotifyDurable();

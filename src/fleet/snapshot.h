@@ -135,7 +135,6 @@ class Snapshotter {
 
   const std::string& path() const { return path_; }
   const Counters& counters() const { return counters_; }
-  const moputil::Status& last_status() const { return last_status_; }
 
  private:
   void Schedule();
@@ -147,7 +146,6 @@ class Snapshotter {
   mopsim::TimerId timer_ = mopsim::kInvalidTimer;
   bool running_ = false;
   Counters counters_;
-  moputil::Status last_status_;
 };
 
 }  // namespace mopfleet

@@ -23,7 +23,6 @@ class Link {
   // time the last bit leaves the link. Subsequent transmissions queue behind.
   SimTime DeliverAfter(SimTime earliest, size_t bytes);
 
-  void set_rate(double bits_per_second) { bps_ = bits_per_second; }
   double rate() const { return bps_; }
 
   // Cumulative bytes scheduled (for throughput accounting).

@@ -69,7 +69,6 @@ class NetContext {
   mopsim::EventLoop* loop() { return loop_; }
   ServerFarm* farm() { return farm_; }
   const NetworkProfile& profile() const { return profile_; }
-  void set_profile(NetworkProfile p) { profile_ = std::move(p); }
   Link& uplink() { return uplink_; }
   Link& downlink() { return downlink_; }
   moputil::Rng& rng() { return rng_; }
@@ -81,7 +80,6 @@ class NetContext {
   bool SampleLoss(const moppkt::IpAddr& dst);
 
   const moppkt::IpAddr& external_ip() const { return external_ip_; }
-  void set_external_ip(moppkt::IpAddr ip) { external_ip_ = ip; }
   uint16_t AllocateEphemeralPort();
 
   // VPN data-loop guard (paper §3.5.2): when a VPN is active, an unprotected

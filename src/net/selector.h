@@ -70,7 +70,6 @@ class Selector {
   std::vector<ReadyEvent> TakeReady();
 
   size_t pending() const { return ready_.size(); }
-  size_t registered_channels() const { return channels_.size(); }
   // Total wakeups delivered (CPU accounting).
   uint64_t wakeups() const { return wakeups_; }
 

@@ -466,7 +466,6 @@ void UdpSocket::SendTo(const moppkt::SocketAddr& dst, std::vector<uint8_t> paylo
     return;
   }
   moputil::SimTime now = ctx_->loop()->Now();
-  last_send_time_ = now;
   ctx_->capture().Record(now, CaptureEvent::kUdpQuery, CaptureDir::kOut, local_, dst,
                          payload.size());
   moputil::SimDuration ow = ctx_->SampleOneWay(dst.ip);

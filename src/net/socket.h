@@ -182,7 +182,6 @@ class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
   std::function<void(const moppkt::SocketAddr& from, std::vector<uint8_t> payload)> on_datagram;
 
   const moppkt::SocketAddr& local() const { return local_; }
-  moputil::SimTime last_send_time() const { return last_send_time_; }
 
  private:
   explicit UdpSocket(NetContext* ctx);
@@ -192,7 +191,6 @@ class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
   int owner_uid_ = -1;
   bool protected_ = false;
   bool closed_ = false;
-  moputil::SimTime last_send_time_ = 0;
 };
 
 }  // namespace mopnet

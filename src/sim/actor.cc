@@ -33,25 +33,22 @@ class ScopedLaneToken {
 };
 }  // namespace
 
-void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
-                       std::function<void(SimTime, SimTime)> fn) {
+void ActorLane::Occupy(SimDuration wake_latency, SimDuration service) {
   MOP_CHECK_GE(wake_latency, 0);
   MOP_CHECK_GE(service, 0);
   SimTime start = std::max(loop_->Now() + wake_latency, free_at_);
-  SimTime end = start + service;
-  free_at_ = end;
+  free_at_ = start + service;
   busy_time_ += service;
   ++tasks_run_;
-  loop_->ScheduleAt(end, [fn = std::move(fn), token = log_token_, start, end] {
-    ScopedLaneToken lane_token(token->c_str());
-    fn(start, end);
-  });
 }
 
 void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
                        std::function<void()> fn) {
-  Submit(wake_latency, service,
-         [fn = std::move(fn)](SimTime, SimTime) { fn(); });
+  Occupy(wake_latency, service);
+  loop_->ScheduleAt(free_at_, [fn = std::move(fn), token = log_token_] {
+    ScopedLaneToken lane_token(token->c_str());
+    fn();
+  });
 }
 
 }  // namespace mopsim

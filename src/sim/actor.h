@@ -7,6 +7,10 @@
 // task that arrives while the lane is busy queues behind it. This is what
 // makes "the selector event was delayed several ms because MainWorker was
 // busy" (challenge C2, §2.4) an emergent property rather than a constant.
+//
+// Work whose only effect is the time it takes (a syscall whose result no one
+// waits for) is booked with Occupy: it delays later tasks and counts as busy
+// time exactly like a Submit, but schedules no event.
 #ifndef MOPEYE_SIM_ACTOR_H_
 #define MOPEYE_SIM_ACTOR_H_
 
@@ -27,13 +31,12 @@ class ActorLane {
   // Submits a task:
   //   start = max(now + wake_latency, lane free time)
   //   end   = start + service
-  // `fn(start, end)` runs at `end` (its externally visible effects happen when
-  // the simulated thread finishes the work).
-  void Submit(SimDuration wake_latency, SimDuration service,
-              std::function<void(SimTime start, SimTime end)> fn);
-
-  // Convenience for effect-only tasks.
+  // `fn` runs at `end` (its externally visible effects happen when the
+  // simulated thread finishes the work), so inside it Now() == end.
   void Submit(SimDuration wake_latency, SimDuration service, std::function<void()> fn);
+
+  // Books [start, end) exactly as Submit does, but schedules no event.
+  void Occupy(SimDuration wake_latency, SimDuration service);
 
   // Total time this lane spent executing tasks (for the CPU model, Table 4).
   SimDuration busy_time() const { return busy_time_; }

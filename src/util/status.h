@@ -70,12 +70,6 @@ inline Status OutOfRange(std::string m) {
 inline Status Unavailable(std::string m) {
   return Status(StatusCode::kUnavailable, std::move(m));
 }
-inline Status AlreadyExists(std::string m) {
-  return Status(StatusCode::kAlreadyExists, std::move(m));
-}
-inline Status ResourceExhausted(std::string m) {
-  return Status(StatusCode::kResourceExhausted, std::move(m));
-}
 inline Status Internal(std::string m) {
   return Status(StatusCode::kInternal, std::move(m));
 }

@@ -22,7 +22,6 @@ constexpr SimDuration kMinute = 60 * kSecond;
 constexpr SimDuration kHour = 60 * kMinute;
 
 constexpr double ToMillis(SimDuration d) { return static_cast<double>(d) / kMillisecond; }
-constexpr double ToMicros(SimDuration d) { return static_cast<double>(d) / kMicrosecond; }
 constexpr double ToSeconds(SimDuration d) { return static_cast<double>(d) / kSecond; }
 
 constexpr SimDuration Millis(double ms) {

@@ -166,6 +166,46 @@ TEST(EngineStress, NonDnsUdpIsRelayed) {
   EXPECT_EQ(w.engine().store().CountKind(mopeye::MeasureKind::kDns), 0u);
 }
 
+TEST(EngineStress, NonDnsUdpAssociationIsCollectedAfterItGoesIdle) {
+  TestWorld w;
+  ASSERT_TRUE(w.StartEngine().ok());
+  moppkt::SocketAddr udp_server{moppkt::IpAddr(93, 81, 0, 12), 9999};
+  w.paths().SetPath(udp_server.ip, std::make_shared<moputil::FixedDelay>(Millis(5)));
+  // The echo server notes the source port of every datagram: the port of the
+  // relay's external socket for the association.
+  std::vector<uint16_t> source_ports;
+  w.farm().AddUdpServer(udp_server, [&](const moppkt::SocketAddr& from,
+                                        std::span<const uint8_t> payload,
+                                        const mopnet::UdpReplyFn& reply) {
+    source_ports.push_back(from.port);
+    reply(std::vector<uint8_t>(payload.begin(), payload.end()), Millis(1));
+  });
+  uint16_t port = w.stack().AllocatePort();
+  w.stack().RegisterUdp(port, [](const moppkt::ParsedPacket&) {});
+  auto send = [&] {
+    std::vector<uint8_t> payload{1, 2, 3, 4};
+    w.stack().Send(moppkt::BuildUdpDatagram(port, 9999, payload, w.device().tun_address(),
+                                            udp_server.ip));
+  };
+  // One datagram every 50 s from 0 s to 200 s: the flow is active at every
+  // idle check, including the second one, at about 120 s.
+  for (int i = 0; i < 5; ++i) {
+    send();
+    w.RunMs(50000);
+  }
+  // Silent from 200 s on, then one more datagram at 400 s.
+  w.RunMs(150000);
+  send();
+  w.RunMs(2000);
+  ASSERT_EQ(source_ports.size(), 6u);
+  for (size_t i = 1; i < 5; ++i) {
+    EXPECT_EQ(source_ports[i], source_ports[0]) << "datagram " << i;
+  }
+  // The association went idle and was collected; the new one has a new
+  // socket.
+  EXPECT_NE(source_ports[5], source_ports[0]);
+}
+
 TEST(EngineStress, MeasurementCsvExportRoundTrips) {
   TestWorld w;
   ASSERT_TRUE(w.StartEngine().ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "netpkt/dns.h"
 #include "netpkt/packet_buf.h"
@@ -428,11 +429,10 @@ TEST(EngineLanes, FourLanesProduceSameRecordsAndPayloadsAsOne) {
   EXPECT_EQ(four.parse_errors, 0u);
 }
 
-TEST(EngineLanes, RawStorePointerSeesLaneShardRecords) {
+TEST(EngineLanes, RawStorePointerSeesAllLaneRecordsInTimeOrder) {
   // The Uploader captures &engine.store() once at composition time and polls
-  // it for its whole lifetime. With the store sharded per lane, those reads
-  // must still observe lane records (the store's refill hook), or the whole
-  // crowdsourcing upload pipeline would silently see an empty store.
+  // it for its whole lifetime. Every lane appends straight to that one store,
+  // so the captured pointer sees all lanes' records, already in time order.
   TestWorld w;
   mopeye::Config cfg;
   cfg.worker_lanes = 4;
@@ -442,19 +442,27 @@ TEST(EngineLanes, RawStorePointerSeesLaneShardRecords) {
 
   auto* app = w.MakeApp(10173, "com.example.upload", "UploadApp");
   std::vector<std::shared_ptr<mopapps::AppConn>> conns;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 8; ++i) {
     auto addr = w.AddServer(moppkt::IpAddr(93, 42, 0, static_cast<uint8_t>(1 + i)), 80,
-                            Millis(5));
+                            Millis(5 + 3 * (i % 3)));
     auto conn = std::shared_ptr<mopapps::AppConn>(app->CreateConn().release());
     conn->Connect(addr, [](moputil::Status) {});
     conns.push_back(std::move(conn));
   }
   w.RunMs(2000);
 
-  // Reads through the long-lived raw pointer pull the lane shards in.
-  EXPECT_EQ(store->size(), 3u);
+  ASSERT_EQ(store->size(), 8u);
+  std::set<uint16_t> lanes;
+  for (const auto& m : store->records()) {
+    lanes.insert(m.trace.lane);
+  }
+  EXPECT_GT(lanes.size(), 1u);
+  EXPECT_TRUE(std::is_sorted(store->records().begin(), store->records().end(),
+                             [](const mopeye::Measurement& a, const mopeye::Measurement& b) {
+                               return a.time < b.time;
+                             }));
   std::vector<mopeye::Measurement> drained = store->TakeRecords();
-  EXPECT_EQ(drained.size(), 3u);
+  EXPECT_EQ(drained.size(), 8u);
   EXPECT_EQ(store->size(), 0u);
 }
 

@@ -103,17 +103,16 @@ TEST(EventLoop, PastScheduleClampsToNow) {
   EXPECT_EQ(loop.Now(), Millis(5));
 }
 
+// A task runs when its service ends, so inside it the span it occupied is
+// [Now() - service, Now()).
 TEST(ActorLane, SerializesTasks) {
   EventLoop loop;
   ActorLane lane(&loop, "t");
   std::vector<std::pair<moputil::SimTime, moputil::SimTime>> spans;
+  auto record = [&] { spans.emplace_back(loop.Now() - Millis(5), loop.Now()); };
   // Two tasks submitted at t=0 with 5ms service each: second starts at 5ms.
-  lane.Submit(0, Millis(5), [&](moputil::SimTime s, moputil::SimTime e) {
-    spans.emplace_back(s, e);
-  });
-  lane.Submit(0, Millis(5), [&](moputil::SimTime s, moputil::SimTime e) {
-    spans.emplace_back(s, e);
-  });
+  lane.Submit(0, Millis(5), record);
+  lane.Submit(0, Millis(5), record);
   loop.Run();
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0], std::make_pair(moputil::SimTime(0), Millis(5)));
@@ -126,7 +125,7 @@ TEST(ActorLane, WakeLatencyDelaysStart) {
   EventLoop loop;
   ActorLane lane(&loop, "t");
   moputil::SimTime start = -1;
-  lane.Submit(Millis(2), Millis(1), [&](moputil::SimTime s, moputil::SimTime) { start = s; });
+  lane.Submit(Millis(2), Millis(1), [&] { start = loop.Now() - Millis(1); });
   loop.Run();
   EXPECT_EQ(start, Millis(2));
 }
@@ -135,9 +134,7 @@ TEST(ActorLane, IdleLaneStartsImmediately) {
   EventLoop loop;
   ActorLane lane(&loop, "t");
   loop.Schedule(Millis(10), [&] {
-    lane.Submit(0, Millis(1), [&](moputil::SimTime s, moputil::SimTime) {
-      EXPECT_EQ(s, Millis(10));
-    });
+    lane.Submit(0, Millis(1), [&] { EXPECT_EQ(loop.Now() - Millis(1), Millis(10)); });
   });
   loop.Run();
   EXPECT_TRUE(lane.IsBusyAt(Millis(10)));
@@ -151,11 +148,31 @@ TEST(ActorLane, QueueingBehindBusyLane) {
   lane.Submit(0, Millis(10), [] {});
   moputil::SimTime start = -1;
   loop.Schedule(Millis(3), [&] {
-    lane.Submit(Millis(1), Millis(2), [&](moputil::SimTime s, moputil::SimTime) { start = s; });
+    lane.Submit(Millis(1), Millis(2), [&] { start = loop.Now() - Millis(2); });
   });
   loop.Run();
   EXPECT_EQ(start, Millis(10));
   EXPECT_EQ(lane.busy_time(), Millis(12));
+}
+
+TEST(ActorLane, OccupyBooksTimeWithoutAnEvent) {
+  EventLoop loop;
+  ActorLane lane(&loop, "t");
+  // 1ms wake, 3ms service: the lane is booked for [1ms, 4ms), and nothing
+  // is scheduled to mark it.
+  lane.Occupy(Millis(1), Millis(3));
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_EQ(lane.busy_time(), Millis(3));
+  EXPECT_EQ(lane.free_at(), Millis(4));
+  EXPECT_TRUE(lane.IsBusyAt(Millis(3)));
+  // A task submitted now queues behind the booked span.
+  moputil::SimTime start = -1;
+  lane.Submit(0, Millis(2), [&] { start = loop.Now() - Millis(2); });
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.Run();
+  EXPECT_EQ(start, Millis(4));
+  EXPECT_EQ(lane.busy_time(), Millis(5));
+  EXPECT_EQ(lane.free_at(), Millis(6));
 }
 
 }  // namespace
