@@ -1,6 +1,7 @@
 // google-benchmark micro benches over the relay's hot paths: packet
 // parse/build, checksums, DNS codec, the TCP state machine, telemetry
-// observations, and the whole engine relaying a bulk workload.
+// observations, the simulated kernel's socket receive path, and the whole
+// engine relaying a bulk workload.
 //
 // The README performance section records before/after numbers for the
 // zero-copy refactor; re-run with --benchmark_min_time=0.2s when updating it.
@@ -15,6 +16,9 @@
 #include "baselines/presets.h"
 #include "core/ack_coalesce.h"
 #include "core/tcp_state_machine.h"
+#include "net/net_context.h"
+#include "net/server.h"
+#include "net/socket.h"
 #include "netpkt/checksum.h"
 #include "netpkt/dns.h"
 #include "netpkt/packet.h"
@@ -391,6 +395,50 @@ void BM_EngineRelay(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(relayed));
 }
 BENCHMARK(BM_EngineRelay)->Arg(0)->Arg(1)->ArgNames({"telemetry"})->Unit(benchmark::kMillisecond);
+
+// The simulated kernel's receive path on its own, which perfbench can only
+// time inside the whole relay: one BulkSourceBehavior server streams 2 MiB
+// into one SocketChannel on a fresh EventLoop/NetContext, and every readable
+// callback drains it into a buffer the size of the engine's socket read
+// (kSocketBuffer, 65535 B). Each iteration also pays the handshake and one
+// event per MSS segment, as the relay does.
+void BM_SocketReceive(benchmark::State& state) {
+  constexpr size_t kBytes = 2 * 1024 * 1024;
+  constexpr size_t kSocketBuffer = 65535;
+  const moppkt::SocketAddr server{moppkt::IpAddr(93, 70, 0, 1), 80};
+  std::vector<uint8_t> buf(kSocketBuffer);
+  uint64_t received = 0;
+  for (auto _ : state) {
+    mopsim::EventLoop loop;
+    mopnet::PathTable paths;
+    paths.SetDefault(std::make_shared<moputil::FixedDelay>(moputil::Millis(2)));
+    mopnet::ServerFarm farm;
+    farm.AddTcpServer(server, [kBytes] {
+      return std::make_unique<mopnet::BulkSourceBehavior>(kBytes);
+    });
+    mopnet::NetworkProfile profile;
+    profile.first_hop_one_way = std::make_shared<moputil::FixedDelay>(moputil::Micros(200));
+    profile.uplink_bps = 10e9;
+    profile.downlink_bps = 10e9;
+    mopnet::NetContext ctx(&loop, profile, &paths, &farm, moputil::Rng(0x5eed));
+    auto ch = mopnet::SocketChannel::Create(&ctx);
+    mopnet::SocketChannel* raw = ch.get();
+    ch->on_readable = [raw, &buf, &received] {
+      for (size_t n = raw->Read(buf); n > 0; n = raw->Read(buf)) {
+        received += n;
+      }
+    };
+    ch->Connect(server, [](moputil::Status) {});
+    loop.Run();
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  if (received != static_cast<uint64_t>(state.iterations()) * kBytes) {
+    state.SkipWithError("stream did not arrive whole");
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(received));
+}
+BENCHMARK(BM_SocketReceive)->Unit(benchmark::kMicrosecond);
 
 void BM_DnsEncodeDecode(benchmark::State& state) {
   auto query = moppkt::DnsMessage::Query(1234, "graph.facebook.com");

@@ -53,7 +53,8 @@ class AppTcpConnection : public std::enable_shared_from_this<AppTcpConnection> {
   // Queues bytes for transmission (segmented by the negotiated MSS, bounded
   // by the peer's advertised window and a slow-start congestion window).
   void Send(std::vector<uint8_t> data);
-  // Queues `n` pattern bytes (bulk upload without materializing content).
+  // Queues `n` pattern bytes for bulk uploads: byte i is (i * 131) & 0xff.
+  // The bytes are materialized and copied into the send queue, as Send does.
   void SendBytes(size_t n);
 
   // Graceful close (FIN). Pending data is flushed first.

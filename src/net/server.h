@@ -1,9 +1,16 @@
 // Scriptable remote endpoints: TCP server behaviors, UDP handlers, and the
 // domain resolution table. These stand in for the app servers the paper's
 // relay connects to (graph.facebook.com, *.whatsapp.net, ...).
+//
+// TCP payload moves through the simulated network by reference: every MSS
+// segment in flight is a ByteSlice of the buffer its send was made from (or
+// of the static SendBytes pattern), and the bytes are copied once, by
+// SocketChannel::Read, into the reader's buffer.
 #ifndef MOPEYE_NET_SERVER_H_
 #define MOPEYE_NET_SERVER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,6 +30,17 @@ namespace mopnet {
 class NetContext;
 class ServerConn;
 class SocketChannel;
+
+// A read-only window of `size` payload bytes (never zero). `data` either
+// aliases the shared owner of one Send/Write buffer, which lives until the
+// last slice of it is read or dropped, or points, owning nothing, into the
+// static pattern table behind ServerConn::SendBytes.
+struct ByteSlice {
+  std::shared_ptr<const uint8_t> data;
+  size_t size = 0;
+
+  std::span<const uint8_t> bytes() const { return {data.get(), size}; }
+};
 
 // Server-side logic of one accepted TCP connection. Implementations must not
 // assume synchronous teardown: the client may reset at any time, after which
@@ -52,9 +70,12 @@ class ServerConn : public std::enable_shared_from_this<ServerConn> {
   ServerConn(std::weak_ptr<SocketChannel> client, NetContext* ctx,
              moppkt::SocketAddr server_addr, moputil::SimDuration one_way);
 
-  // Streams `data` to the client (chunked through the downlink).
+  // Streams `data` to the client, one downlink delivery per MSS segment; the
+  // segments share `data` instead of copying it.
   void Send(std::vector<uint8_t> data);
-  // Streams `n` pattern bytes (cheap bulk data for throughput runs).
+  // Streams `n` pattern bytes (cheap bulk data for throughput runs): byte i
+  // of each send is i & 0xff. Nothing is materialized; every segment points
+  // into one static table.
   void SendBytes(size_t n);
   // Graceful close (FIN after all queued data).
   void Close();
@@ -73,6 +94,11 @@ class ServerConn : public std::enable_shared_from_this<ServerConn> {
 
  private:
   friend class SocketChannel;
+  // Schedules one client delivery per MSS of an n-byte send, in order;
+  // `slice_at(offset, len)` returns the segment's bytes.
+  template <typename SliceAt>
+  void Stream(size_t n, SliceAt slice_at);
+
   std::weak_ptr<SocketChannel> client_;
   NetContext* ctx_;
   moppkt::SocketAddr server_addr_;

@@ -1,6 +1,8 @@
 #include "net/socket.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "net/selector.h"
 #include "util/logging.h"
@@ -48,13 +50,15 @@ const char* SocketEventTypeName(SocketEventType t) {
 namespace {
 constexpr size_t kMss = 1460;
 
-std::vector<uint8_t> PatternBytes(size_t n) {
-  std::vector<uint8_t> v(n);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = static_cast<uint8_t>(i & 0xff);
+// Byte j is j & 0xff, so the kMss bytes from (offset & 0xff) on are the
+// SendBytes content of a segment that starts `offset` bytes into its send.
+constexpr auto kPatternTable = [] {
+  std::array<uint8_t, kMss + 255> table{};
+  for (size_t j = 0; j < table.size(); ++j) {
+    table[j] = static_cast<uint8_t>(j & 0xff);
   }
-  return v;
-}
+  return table;
+}();
 }  // namespace
 
 // ---------------- ServerConn ----------------
@@ -65,7 +69,8 @@ ServerConn::ServerConn(std::weak_ptr<SocketChannel> client, NetContext* ctx,
 
 mopsim::EventLoop* ServerConn::loop() { return ctx_->loop(); }
 
-void ServerConn::Send(std::vector<uint8_t> data) {
+template <typename SliceAt>
+void ServerConn::Stream(size_t n, SliceAt slice_at) {
   if (closed_) {
     return;
   }
@@ -75,24 +80,36 @@ void ServerConn::Send(std::vector<uint8_t> data) {
   }
   moputil::SimTime now = ctx_->loop()->Now();
   size_t offset = 0;
-  while (offset < data.size()) {
-    size_t chunk = std::min(kMss, data.size() - offset);
-    std::vector<uint8_t> piece(data.begin() + static_cast<long>(offset),
-                               data.begin() + static_cast<long>(offset + chunk));
+  while (offset < n) {
+    size_t chunk = std::min(kMss, n - offset);
     moputil::SimTime arrival = ctx_->downlink().DeliverAfter(now + one_way_, chunk);
     arrival = std::max(arrival, client->last_client_delivery_);
     client->last_client_delivery_ = arrival;
     std::weak_ptr<SocketChannel> weak = client_;
-    ctx_->loop()->ScheduleAt(arrival, [weak, piece = std::move(piece)]() mutable {
+    ctx_->loop()->ScheduleAt(arrival, [weak, segment = slice_at(offset, chunk)]() mutable {
       if (auto ch = weak.lock()) {
-        ch->DeliverFromServer(std::move(piece));
+        ch->DeliverFromServer(std::move(segment));
       }
     });
     offset += chunk;
   }
 }
 
-void ServerConn::SendBytes(size_t n) { Send(PatternBytes(n)); }
+void ServerConn::Send(std::vector<uint8_t> data) {
+  auto owner = std::make_shared<const std::vector<uint8_t>>(std::move(data));
+  Stream(owner->size(), [&owner](size_t offset, size_t len) {
+    return ByteSlice{std::shared_ptr<const uint8_t>(owner, owner->data() + offset), len};
+  });
+}
+
+void ServerConn::SendBytes(size_t n) {
+  Stream(n, [](size_t offset, size_t len) {
+    // Aliasing an empty owner: a non-owning pointer into the static table.
+    return ByteSlice{std::shared_ptr<const uint8_t>(std::shared_ptr<const uint8_t>(),
+                                                    kPatternTable.data() + (offset & 0xff)),
+                     len};
+  });
+}
 
 void ServerConn::Close() {
   if (closed_) {
@@ -284,31 +301,39 @@ void SocketChannel::Write(std::vector<uint8_t> data) {
   moputil::SimTime now = ctx_->loop()->Now();
   ctx_->capture().Record(now, CaptureEvent::kTcpData, CaptureDir::kOut, local_, remote_,
                          data.size());
-  size_t offset = 0;
+  auto owner = std::make_shared<const std::vector<uint8_t>>(std::move(data));
   auto conn = server_conn_;
-  while (offset < data.size()) {
-    size_t chunk = std::min(kMss, data.size() - offset);
-    std::vector<uint8_t> piece(data.begin() + static_cast<long>(offset),
-                               data.begin() + static_cast<long>(offset + chunk));
+  size_t offset = 0;
+  while (offset < owner->size()) {
+    size_t chunk = std::min(kMss, owner->size() - offset);
+    ByteSlice piece{std::shared_ptr<const uint8_t>(owner, owner->data() + offset), chunk};
     moputil::SimTime departed = ctx_->uplink().DeliverAfter(now, chunk);
     moputil::SimTime arrival = departed + data_one_way_;
-    ctx_->loop()->ScheduleAt(arrival, [conn, piece = std::move(piece)]() mutable {
+    ctx_->loop()->ScheduleAt(arrival, [conn, piece = std::move(piece)] {
       if (!conn->client_alive() || conn->behavior() == nullptr) {
         return;
       }
-      conn->add_bytes_received(piece.size());
-      conn->behavior()->OnData(*conn, piece);
+      conn->add_bytes_received(piece.size);
+      conn->behavior()->OnData(*conn, piece.bytes());
     });
     offset += chunk;
   }
 }
 
 size_t SocketChannel::Read(std::span<uint8_t> out) {
-  size_t n = std::min(out.size(), recv_buf_.size());
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = recv_buf_.front();
-    recv_buf_.pop_front();
+  size_t n = std::min(out.size(), recv_unread_);
+  for (size_t copied = 0; copied < n;) {
+    const ByteSlice& front = recv_buf_.front();
+    size_t take = std::min(n - copied, front.size - recv_head_);
+    std::memcpy(out.data() + copied, front.data.get() + recv_head_, take);
+    copied += take;
+    recv_head_ += take;
+    if (recv_head_ == front.size) {
+      recv_buf_.pop_front();
+      recv_head_ = 0;
+    }
   }
+  recv_unread_ -= n;
   return n;
 }
 
@@ -362,7 +387,7 @@ void SocketChannel::RegisterWith(Selector* selector, uint32_t interest) {
   selector->AddChannel(shared_from_this());
   // Level-trigger semantics on registration: data that arrived before the
   // register() call must still produce a read event.
-  if ((interest_ & kOpRead) && !recv_buf_.empty()) {
+  if ((interest_ & kOpRead) && available() > 0) {
     EmitEvent(SocketEventType::kReadable);
   }
 }
@@ -385,7 +410,7 @@ void SocketChannel::MigrateTo(Selector* selector) {
   }
   // Level-trigger safety net: a readable edge consumed at the old selector
   // but not yet acted on must not strand buffered data.
-  if (in_flight.empty() && (interest_ & kOpRead) && !recv_buf_.empty()) {
+  if (in_flight.empty() && (interest_ & kOpRead) && available() > 0) {
     EmitEvent(SocketEventType::kReadable);
   }
 }
@@ -403,15 +428,16 @@ void SocketChannel::EmitEvent(SocketEventType type) {
   }
 }
 
-void SocketChannel::DeliverFromServer(std::vector<uint8_t> bytes) {
+void SocketChannel::DeliverFromServer(ByteSlice segment) {
   if (state_ != ChannelState::kConnected && state_ != ChannelState::kLocalClosed) {
     return;
   }
   moputil::SimTime now = ctx_->loop()->Now();
   ctx_->capture().Record(now, CaptureEvent::kTcpData, CaptureDir::kIn, local_, remote_,
-                         bytes.size());
-  bytes_received_ += bytes.size();
-  recv_buf_.insert(recv_buf_.end(), bytes.begin(), bytes.end());
+                         segment.size);
+  bytes_received_ += segment.size;
+  recv_unread_ += segment.size;
+  recv_buf_.push_back(std::move(segment));
   if (selector_ != nullptr) {
     if (interest_ & kOpRead) {
       EmitEvent(SocketEventType::kReadable);

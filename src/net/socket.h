@@ -6,6 +6,12 @@
 // close/reset. Event callbacks fire at exact wire times; all software-side
 // latencies (thread wakeup, selector dispatch, parse cost) are added by the
 // engine's ActorLanes, so the capture log doubles as tcpdump ground truth.
+//
+// Payload is not copied in flight. Each segment the server sends arrives as a
+// ByteSlice (net/server.h) of the sender's buffer or of the static SendBytes
+// pattern, and the receive buffer is a queue of those slices. Read() memcpys
+// out of them and drops each slice once all of it has been read; a shared
+// buffer is freed with its last slice.
 #ifndef MOPEYE_NET_SOCKET_H_
 #define MOPEYE_NET_SOCKET_H_
 
@@ -78,11 +84,13 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   void Connect(const moppkt::SocketAddr& remote, std::function<void(moputil::Status)> cb);
 
   // Queues `data` toward the server. Never blocks (kernel buffer semantics).
+  // Each MSS piece in flight is a slice of `data`, which is moved, not copied.
   void Write(std::vector<uint8_t> data);
 
-  // Reads up to out.size() bytes from the receive buffer.
+  // Copies up to out.size() unread bytes out of the receive buffer.
   size_t Read(std::span<uint8_t> out);
-  size_t available() const { return recv_buf_.size(); }
+  // Unread bytes in the receive buffer; O(1).
+  size_t available() const { return recv_unread_; }
 
   // Graceful close: FIN toward the server; half-close only ships pending data.
   void Close();
@@ -129,7 +137,7 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   void EmitEvent(SocketEventType type);
 
   // Server-side plumbing (called by ServerConn at wire-arrival times).
-  void DeliverFromServer(std::vector<uint8_t> bytes);
+  void DeliverFromServer(ByteSlice segment);
   void ServerClosed();
   void ServerReset();
 
@@ -145,7 +153,11 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   moputil::SimTime synack_recv_time_ = 0;
   int syn_retransmits_ = 0;
 
-  std::deque<uint8_t> recv_buf_;
+  // Receive buffer: segments in arrival order, none empty. The front one is
+  // read from recv_head_ on; recv_unread_ counts every byte not yet read.
+  std::deque<ByteSlice> recv_buf_;
+  size_t recv_head_ = 0;
+  size_t recv_unread_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
 

@@ -115,6 +115,33 @@ TEST(EngineIntegration, PayloadContentSurvivesRelay) {
   EXPECT_EQ(got, sent);
 }
 
+// Server SendBytes content (byte i = i & 0xff) must reach the app unchanged
+// through the relay's socket reads, at the paper model and at 8 lanes x 8 tun
+// queues.
+TEST(EngineIntegration, BulkDownloadContentSurvivesRelay) {
+  constexpr size_t kBytes = 50000;
+  mopeye::Config sharded;
+  sharded.worker_lanes = 8;
+  sharded.tun_queues = 8;
+  for (const mopeye::Config& cfg : {mopeye::Config(), sharded}) {
+    TestWorld w;
+    ASSERT_TRUE(w.StartEngine(cfg).ok());
+    auto addr = w.AddServer(moppkt::IpAddr(93, 10, 0, 4), 80, Millis(5), [kBytes] {
+      return std::make_unique<mopnet::BulkSourceBehavior>(kBytes);
+    });
+    std::vector<uint8_t> got;
+    auto conn = mopapps::AppTcpConnection::Create(&w.stack(), 10103);
+    conn->on_data = [&](std::span<const uint8_t> d) { got.insert(got.end(), d.begin(), d.end()); };
+    conn->Connect(addr, [](moputil::Status st) { ASSERT_TRUE(st.ok()); });
+    w.RunMs(3000);
+    ASSERT_EQ(got.size(), kBytes) << "lanes " << cfg.worker_lanes;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], static_cast<uint8_t>(i & 0xff)) << "byte " << i << ", lanes "
+                                                         << cfg.worker_lanes;
+    }
+  }
+}
+
 TEST(EngineIntegration, ConnectionRefusedSendsRstToApp) {
   TestWorld w;
   ASSERT_TRUE(w.StartEngine().ok());

@@ -10,6 +10,7 @@
 #include "net/socket.h"
 #include "netpkt/dns.h"
 #include "sim/event_loop.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -136,6 +137,95 @@ TEST(SocketChannel, SizeEncodedBehaviorHonorsRequest) {
   };
   f.loop.Run();
   EXPECT_EQ(got, 10000u);
+}
+
+// SendBytes content is byte i = i & 0xff of the send. 10,000 bytes arrive as
+// 7 segments and 1460 % 256 != 0, so most segments start mid-cycle. Reads of
+// odd sizes end mid-segment and span segment boundaries.
+TEST(SocketChannel, SendBytesPatternSurvivesOddSizedReads) {
+  NetFixture f;
+  IpAddr ip(93, 0, 0, 11);
+  f.farm.AddTcpServer({ip, 80}, [] { return std::make_unique<mopnet::SizeEncodedBehavior>(); });
+  auto ch = mopnet::SocketChannel::Create(&f.ctx);
+  ch->Connect({ip, 80}, [&](moputil::Status st) {
+    ASSERT_TRUE(st.ok());
+    ch->Write(mopnet::EncodeSizedRequest(10000));
+  });
+  const size_t kReadSizes[] = {1, 7, 1459, 1461, 4096};
+  size_t reads = 0;
+  std::vector<uint8_t> got;
+  auto read_next = [&] {
+    std::vector<uint8_t> buf(kReadSizes[reads++ % std::size(kReadSizes)]);
+    size_t n = ch->Read(buf);
+    got.insert(got.end(), buf.begin(), buf.begin() + static_cast<long>(n));
+    EXPECT_EQ(ch->available(), ch->bytes_received() - got.size());
+    return n;
+  };
+  // One read per arriving segment leaves part of the data queued between
+  // deliveries; the rest is drained once everything has arrived.
+  ch->on_readable = [&] { read_next(); };
+  f.loop.Run();
+  ASSERT_EQ(ch->bytes_received(), 10000u);
+  while (read_next() > 0) {
+  }
+  ASSERT_EQ(got.size(), 10000u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], static_cast<uint8_t>(i & 0xff)) << "byte " << i;
+  }
+}
+
+// Echoes a whole request of `size` bytes back in one Send, so the response is
+// one vector cut into several MSS segments.
+class WholeEchoBehavior : public mopnet::ServerBehavior {
+ public:
+  explicit WholeEchoBehavior(size_t size) : size_(size) {}
+  void OnData(mopnet::ServerConn& conn, std::span<const uint8_t> data) override {
+    buffer_.insert(buffer_.end(), data.begin(), data.end());
+    if (buffer_.size() == size_) {
+      conn.Send(std::move(buffer_));
+    }
+  }
+
+ private:
+  size_t size_;
+  std::vector<uint8_t> buffer_;
+};
+
+// One multi-segment Write is cut into MSS pieces on the way up. The echo comes
+// back one Send per piece (EchoBehavior) or as one multi-segment Send
+// (WholeEchoBehavior). Reads of random sizes, at most one per arrival, then
+// cross segment boundaries; every byte must come back in place.
+TEST(SocketChannel, EchoPreservesMultiSegmentContent) {
+  constexpr size_t kBytes = 10000;
+  NetFixture f;
+  IpAddr ip(93, 0, 0, 12);
+  f.farm.AddTcpServer({ip, 7}, [] { return std::make_unique<mopnet::EchoBehavior>(); });
+  f.farm.AddTcpServer({ip, 8}, [kBytes] { return std::make_unique<WholeEchoBehavior>(kBytes); });
+  moputil::Rng rng(42);
+  std::vector<uint8_t> sent(kBytes);
+  for (auto& b : sent) {
+    b = static_cast<uint8_t>(rng.NextU32());
+  }
+  for (uint16_t port : {7, 8}) {
+    auto ch = mopnet::SocketChannel::Create(&f.ctx);
+    ch->Connect({ip, port}, [&](moputil::Status st) {
+      ASSERT_TRUE(st.ok());
+      ch->Write(sent);
+    });
+    std::vector<uint8_t> got;
+    auto read_some = [&] {
+      std::vector<uint8_t> buf(static_cast<size_t>(rng.UniformInt(1, 3000)));
+      size_t n = ch->Read(buf);
+      got.insert(got.end(), buf.begin(), buf.begin() + static_cast<long>(n));
+    };
+    ch->on_readable = read_some;
+    f.loop.Run();
+    while (ch->available() > 0) {
+      read_some();
+    }
+    EXPECT_EQ(ch->bytes_sent(), kBytes) << "port " << port;
+    EXPECT_EQ(got, sent) << "port " << port;
+  }
 }
 
 TEST(SocketChannel, ServerCloseDeliversEof) {
@@ -271,6 +361,58 @@ TEST(Selector, DeregisterPurgesQueuedEvents) {
   ch->Deregister();
   EXPECT_EQ(selector.pending(), 0u);
   EXPECT_TRUE(selector.TakeReady().empty());
+}
+
+// Connects a fresh channel (registered for reads with `selector`, if given)
+// to a SizeEncodedBehavior server at `ip`, runs until the one-segment
+// 1460-byte response sits in the receive buffer, and reads half of it. All
+// the unread bytes are then in a partly read segment.
+std::shared_ptr<mopnet::SocketChannel> HalfReadOneSegment(NetFixture& f, IpAddr ip,
+                                                          mopnet::Selector* selector = nullptr) {
+  f.farm.AddTcpServer({ip, 80}, [] { return std::make_unique<mopnet::SizeEncodedBehavior>(); });
+  auto ch = mopnet::SocketChannel::Create(&f.ctx);
+  if (selector != nullptr) {
+    ch->RegisterWith(selector, mopnet::kOpRead);
+  }
+  ch->Connect({ip, 80}, [ch](moputil::Status st) {
+    ASSERT_TRUE(st.ok());
+    ch->Write(mopnet::EncodeSizedRequest(1460));
+  });
+  f.loop.Run();
+  EXPECT_EQ(ch->available(), 1460u);
+  std::vector<uint8_t> half(730);
+  EXPECT_EQ(ch->Read(half), 730u);
+  EXPECT_EQ(ch->available(), 730u);
+  return ch;
+}
+
+// Level trigger: the rest of a partly read segment is still unread data, so
+// registering for reads must raise a readable event for it.
+TEST(SocketChannel, RegisterAfterPartialReadQueuesReadable) {
+  NetFixture f;
+  auto ch = HalfReadOneSegment(f, IpAddr(93, 0, 0, 13));
+  mopnet::Selector selector(&f.loop);
+  ch->RegisterWith(&selector, mopnet::kOpRead);
+  auto ready = selector.TakeReady();
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].channel, ch);
+  EXPECT_EQ(ready[0].type, mopnet::SocketEventType::kReadable);
+}
+
+// The migration safety net: with no event in flight at the old selector, a
+// partly read segment must still produce a readable event at the new one.
+TEST(SocketChannel, MigrateAfterPartialReadQueuesReadable) {
+  NetFixture f;
+  mopnet::Selector from(&f.loop);
+  mopnet::Selector to(&f.loop);
+  auto ch = HalfReadOneSegment(f, IpAddr(93, 0, 0, 14), &from);
+  EXPECT_EQ(from.TakeReady().size(), 1u);  // the arrival's edge, now consumed
+  ch->MigrateTo(&to);
+  EXPECT_EQ(from.pending(), 0u);
+  auto ready = to.TakeReady();
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].channel, ch);
+  EXPECT_EQ(ready[0].type, mopnet::SocketEventType::kReadable);
 }
 
 TEST(DnsServer, ResolvesFromTable) {
