@@ -1,12 +1,13 @@
 // google-benchmark micro benches over the relay's hot paths: packet
 // parse/build, checksums, DNS codec, the TCP state machine, telemetry
-// observations, the simulated kernel's socket receive path, and the whole
-// engine relaying a bulk workload.
+// observations, the simulator's event core, the simulated kernel's socket
+// receive path, and the whole engine relaying a bulk workload.
 //
 // The README performance section records before/after numbers for the
 // zero-copy refactor; re-run with --benchmark_min_time=0.2s when updating it.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -25,6 +26,8 @@
 #include "netpkt/packet_buf.h"
 #include "netpkt/tcp.h"
 #include "netpkt/tcp_template.h"
+#include "sim/actor.h"
+#include "sim/event_loop.h"
 #include "telemetry/metrics.h"
 #include "tests/test_world.h"
 #include "util/rng.h"
@@ -439,6 +442,55 @@ void BM_SocketReceive(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(received));
 }
 BENCHMARK(BM_SocketReceive)->Unit(benchmark::kMicrosecond);
+
+// The event core on its own, as a hold model: Arg events stay pending, and
+// each iteration schedules one at a random point ahead of the clock and runs
+// the earliest (its task stops the loop, so Run() returns after one event).
+// The args are the mean heap depths perfbench measured (attrib.heap_depth):
+// 121 on relay_short_flows, 17,157 on relay_bulk.
+void BM_EventLoopChurn(benchmark::State& state) {
+  const auto depth = static_cast<size_t>(state.range(0));
+  const auto horizon = static_cast<int64_t>(2 * depth);
+  moputil::Rng rng(0xc4u);
+  std::vector<moputil::SimDuration> delays(4096);
+  for (auto& d : delays) {
+    d = rng.UniformInt(1, horizon);
+  }
+  mopsim::EventLoop loop;
+  auto stop = [&loop] { loop.Stop(); };
+  for (size_t i = 0; i < depth; ++i) {
+    loop.ScheduleAt(delays[i % delays.size()], stop);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    loop.ScheduleAt(loop.Now() + delays[next++ & (delays.size() - 1)], stop);
+    benchmark::DoNotOptimize(loop.Run());
+  }
+  if (loop.pending_events() != depth) {
+    state.SkipWithError("heap depth drifted");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventLoopChurn)->Arg(128)->Arg(16384);
+
+// One ActorLane::Submit of a task with a 48-byte capture (a shared handle
+// among it), plus the run of its event.
+void BM_ActorLaneSubmit(benchmark::State& state) {
+  mopsim::EventLoop loop;
+  mopsim::ActorLane lane(&loop, "bench");
+  uint64_t sink = 0;
+  auto handle = std::make_shared<uint64_t>(3);
+  std::array<uint64_t, 3> words = {1, 2, 3};
+  auto task = [words, handle, sink_ptr = &sink] { *sink_ptr += words[2] + *handle; };
+  static_assert(sizeof(task) == 48);
+  for (auto _ : state) {
+    lane.Submit(0, 1, task);
+    loop.RunUntil(lane.free_at());
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ActorLaneSubmit);
 
 void BM_DnsEncodeDecode(benchmark::State& state) {
   auto query = moppkt::DnsMessage::Query(1234, "graph.facebook.com");

@@ -147,7 +147,7 @@ void MopEyeEngine::BuildTelemetry() {
                              "Oversize buffers allocated outside the pool",
                              [this](size_t lane) { return lanes_[lane]->pool->stats().oversize_allocs; });
   reg.AddExternalLaneCounter("mopeye_bufpool_copies_total",
-                             "Defensive buffer copies",
+                             "Buffer copies (always 0: PacketBuf is move-only)",
                              [this](size_t lane) { return lanes_[lane]->pool->stats().copies; });
 
   // Tun device / reader / writer. These objects come up in Start(), so the

@@ -27,24 +27,6 @@ PacketBuf& PacketBuf::operator=(PacketBuf&& o) noexcept {
   return *this;
 }
 
-PacketBuf::PacketBuf(const PacketBuf& o) {
-  if (!o.slab_) {
-    return;
-  }
-  BufPool* pool = o.header()->pool != nullptr ? o.header()->pool : &BufPool::Default();
-  *this = pool->AcquireSized(o.header()->capacity);
-  pool->NoteCopy();
-  std::memcpy(data(), o.data(), o.size_);
-  size_ = o.size_;
-}
-
-PacketBuf& PacketBuf::operator=(const PacketBuf& o) {
-  if (this != &o) {
-    *this = PacketBuf(o);  // copy-construct, then move-assign
-  }
-  return *this;
-}
-
 uint8_t* PacketBuf::data() { return slab_ ? slab_ + kHeaderBytes : nullptr; }
 const uint8_t* PacketBuf::data() const { return slab_ ? slab_ + kHeaderBytes : nullptr; }
 size_t PacketBuf::capacity() const { return slab_ ? header()->capacity : 0; }
@@ -157,11 +139,6 @@ void BufPool::ReleaseSlab(uint8_t* slab) {
   } else {
     delete[] slab;
   }
-}
-
-void BufPool::NoteCopy() {
-  moputil::MutexLock lock(impl_->mu);
-  ++impl_->stats.copies;
 }
 
 BufPool::Stats BufPool::stats() const {

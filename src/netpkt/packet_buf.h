@@ -14,10 +14,10 @@
 //  * Parse results (ParsedPacket, TcpSegment::payload) are views into the
 //    slab and are valid only while the PacketBuf they were parsed from is
 //    alive. Whoever holds the PacketBuf outlives every view of it.
-//  * Copying is permitted only because the simulator's std::function plumbing
-//    requires copy-constructible captures; a copy acquires a fresh slab and
-//    memcpys, and is counted in BufPool stats so tests can assert the hot
-//    path never copies.
+//  * PacketBuf is move-only. The simulator's tasks (mopsim::Task) are
+//    move-only too, so a lambda capturing a PacketBuf schedules without a
+//    copy; the only way to duplicate a packet is an explicit
+//    BufPool::AcquireCopy.
 #ifndef MOPEYE_NETPKT_PACKET_BUF_H_
 #define MOPEYE_NETPKT_PACKET_BUF_H_
 
@@ -38,11 +38,8 @@ class PacketBuf {
     o.size_ = 0;
   }
   PacketBuf& operator=(PacketBuf&& o) noexcept;
-  // Deep copy: acquires a fresh slab from the same pool. Exists only so
-  // lambdas capturing a PacketBuf satisfy std::function's CopyConstructible
-  // requirement; counted in BufPool::Stats::copies.
-  PacketBuf(const PacketBuf& o);
-  PacketBuf& operator=(const PacketBuf& o);
+  PacketBuf(const PacketBuf&) = delete;
+  PacketBuf& operator=(const PacketBuf&) = delete;
   ~PacketBuf() { Release(); }
 
   bool valid() const { return slab_ != nullptr; }
@@ -112,7 +109,9 @@ class BufPool {
     uint64_t acquires = 0;       // total Acquire* calls
     uint64_t slab_allocs = 0;    // pool-sized slabs heap-allocated (free list miss)
     uint64_t oversize_allocs = 0;  // requests above slab_capacity (never pooled)
-    uint64_t copies = 0;         // PacketBuf deep copies (should be 0 on hot paths)
+    // Always 0: PacketBuf has no copy. Kept for the exported
+    // mopeye_bufpool_copies_total metric and its benchmark readers.
+    uint64_t copies = 0;
     uint64_t releases = 0;
     size_t free_count = 0;       // slabs parked on the free list now
     size_t in_use = 0;           // handles outstanding now
@@ -131,7 +130,6 @@ class BufPool {
  private:
   friend class PacketBuf;
   void ReleaseSlab(uint8_t* slab);
-  void NoteCopy();
 
   struct Impl;
   Impl* impl_;

@@ -14,25 +14,6 @@ ActorLane::ActorLane(EventLoop* loop, std::string name)
   MOP_CHECK(loop != nullptr);
 }
 
-namespace {
-// Sets the thread-local log lane token for the duration of one task, so log
-// lines (and flight-recorder dumps triggered by MOP_CHECK) name the lane
-// they ran on. Restores the previous token: a lane task that synchronously
-// drives another actor's callback nests correctly.
-class ScopedLaneToken {
- public:
-  explicit ScopedLaneToken(const char* token) : prev_(moputil::GetLogLaneToken()) {
-    moputil::SetLogLaneToken(token);
-  }
-  ~ScopedLaneToken() { moputil::SetLogLaneToken(prev_); }
-  ScopedLaneToken(const ScopedLaneToken&) = delete;
-  ScopedLaneToken& operator=(const ScopedLaneToken&) = delete;
-
- private:
-  const char* prev_;
-};
-}  // namespace
-
 void ActorLane::Occupy(SimDuration wake_latency, SimDuration service) {
   MOP_CHECK_GE(wake_latency, 0);
   MOP_CHECK_GE(service, 0);
@@ -40,15 +21,6 @@ void ActorLane::Occupy(SimDuration wake_latency, SimDuration service) {
   free_at_ = start + service;
   busy_time_ += service;
   ++tasks_run_;
-}
-
-void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
-                       std::function<void()> fn) {
-  Occupy(wake_latency, service);
-  loop_->ScheduleAt(free_at_, [fn = std::move(fn), token = log_token_] {
-    ScopedLaneToken lane_token(token->c_str());
-    fn();
-  });
 }
 
 }  // namespace mopsim

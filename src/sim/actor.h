@@ -14,11 +14,12 @@
 #ifndef MOPEYE_SIM_ACTOR_H_
 #define MOPEYE_SIM_ACTOR_H_
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "sim/event_loop.h"
+#include "util/logging.h"
 #include "util/time.h"
 
 namespace mopsim {
@@ -32,8 +33,17 @@ class ActorLane {
   //   start = max(now + wake_latency, lane free time)
   //   end   = start + service
   // `fn` runs at `end` (its externally visible effects happen when the
-  // simulated thread finishes the work), so inside it Now() == end.
-  void Submit(SimDuration wake_latency, SimDuration service, std::function<void()> fn);
+  // simulated thread finishes the work), so inside it Now() == end, and the
+  // log lane token names this lane. `fn` is wrapped once: it and the lane's
+  // token share one Task, so a capture of up to 48 bytes stays inline.
+  template <typename F>
+  void Submit(SimDuration wake_latency, SimDuration service, F&& fn) {
+    Occupy(wake_latency, service);
+    loop_->ScheduleAt(free_at_, [fn = std::forward<F>(fn), token = log_token_]() mutable {
+      ScopedLaneToken lane_token(token->c_str());
+      fn();
+    });
+  }
 
   // Books [start, end) exactly as Submit does, but schedules no event.
   void Occupy(SimDuration wake_latency, SimDuration service);
@@ -46,6 +56,23 @@ class ActorLane {
   size_t tasks_run() const { return tasks_run_; }
 
  private:
+  // Sets the thread-local log lane token for the duration of one task, so log
+  // lines (and flight-recorder dumps triggered by MOP_CHECK) name the lane
+  // they ran on. Restores the previous token: a lane task that synchronously
+  // drives another actor's callback nests correctly.
+  class ScopedLaneToken {
+   public:
+    explicit ScopedLaneToken(const char* token) : prev_(moputil::GetLogLaneToken()) {
+      moputil::SetLogLaneToken(token);
+    }
+    ~ScopedLaneToken() { moputil::SetLogLaneToken(prev_); }
+    ScopedLaneToken(const ScopedLaneToken&) = delete;
+    ScopedLaneToken& operator=(const ScopedLaneToken&) = delete;
+
+   private:
+    const char* prev_;
+  };
+
   EventLoop* loop_;
   std::string name_;
   // The lane name, shared into scheduled closures so the log-prefix lane

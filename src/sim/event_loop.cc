@@ -1,5 +1,7 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace mopsim {
@@ -21,40 +23,127 @@ class ScopedLogClock {
  private:
   const int64_t* prev_;
 };
+
+constexpr size_t kArity = 4;
 }  // namespace
 
-TimerId EventLoop::Schedule(SimDuration delay, std::function<void()> fn) {
-  MOP_CHECK_GE(delay, 0) << "negative event delay";
-  return ScheduleAt(now_ + delay, std::move(fn));
+bool EventLoop::Before(const Key& a, const Key& b) {
+  return a.when < b.when || (a.when == b.when && a.seq < b.seq);
 }
 
-TimerId EventLoop::ScheduleAt(SimTime when, std::function<void()> fn) {
+EventLoop::~EventLoop() {
+  // Destroy pending captures while the loop is still whole: a capture's
+  // destructor may cancel another timer on this loop.
+  for (size_t slot = 0; slot < gens_.size(); ++slot) {
+    TaskAt(static_cast<uint32_t>(slot)).Reset();
+  }
+}
+
+TimerId EventLoop::Schedule(SimDuration delay, Task task) {
+  MOP_CHECK_GE(delay, 0) << "negative event delay";
+  return ScheduleAt(now_ + delay, std::move(task));
+}
+
+TimerId EventLoop::ScheduleAt(SimTime when, Task task) {
   if (when < now_) {
     when = now_;
   }
-  TimerId id = next_id_++;
-  heap_.push(Event{when, id, std::move(fn)});
-  pending_.insert(id);
-  return id;
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    MOP_CHECK_LT(gens_.size(), size_t{UINT32_MAX}) << "event slab full";
+    slot = static_cast<uint32_t>(gens_.size());
+    if ((slot & (kChunkSlots - 1)) == 0) {
+      chunks_.push_back(std::make_unique<Task[]>(kChunkSlots));
+    }
+    gens_.push_back(0);
+  }
+  TaskAt(slot) = std::move(task);
+  const uint32_t gen = gens_[slot];
+  PushKey(Key{when, next_seq_++, slot, gen});
+  ++pending_;
+  return (TimerId{gen} << 32) | (TimerId{slot} + 1);
 }
 
-bool EventLoop::Cancel(TimerId id) { return pending_.erase(id) > 0; }
+bool EventLoop::Cancel(TimerId id) {
+  const uint64_t slot = (id & UINT32_MAX) - 1;  // kInvalidTimer wraps out of range
+  const auto gen = static_cast<uint32_t>(id >> 32);
+  if (slot >= gens_.size() || gens_[slot] != gen) {
+    return false;
+  }
+  // Running tasks have already advanced their generation, so `slot` holds a
+  // pending event: retire its id, then destroy the captures before the slot
+  // can be reused.
+  ++gens_[slot];
+  --pending_;
+  TaskAt(static_cast<uint32_t>(slot)).Reset();
+  free_slots_.push_back(static_cast<uint32_t>(slot));
+  return true;
+}
+
+void EventLoop::PushKey(const Key& key) {
+  size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!Before(key, heap_[parent])) {
+      break;
+    }
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+void EventLoop::PopTop() {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  size_t i = 0;
+  for (;;) {
+    const size_t first = kArity * i + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t best = first;
+    for (size_t c = first + 1; c < std::min(first + kArity, n); ++c) {
+      if (Before(heap_[c], heap_[best])) {
+        best = c;
+      }
+    }
+    if (!Before(heap_[best], last)) {
+      break;
+    }
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
 
 bool EventLoop::RunOne(SimTime limit) {
   while (!heap_.empty()) {
-    const Event& top = heap_.top();
+    const Key top = heap_.front();
     if (top.when > limit) {
       return false;
     }
-    if (pending_.find(top.id) == pending_.end()) {  // cancelled
-      heap_.pop();
+    PopTop();
+    if (gens_[top.slot] != top.gen) {  // cancelled
       continue;
     }
-    Event ev = std::move(const_cast<Event&>(top));
-    heap_.pop();
-    pending_.erase(ev.id);
-    now_ = ev.when;
-    ev.fn();
+    ++gens_[top.slot];
+    --pending_;
+    now_ = top.when;
+    // The slot stays off the free list until the task has returned and its
+    // captures are gone, so nothing it schedules can land on it.
+    Task& task = TaskAt(top.slot);
+    task();
+    task.Reset();
+    free_slots_.push_back(top.slot);
     return true;
   }
   return false;
