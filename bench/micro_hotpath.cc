@@ -9,6 +9,7 @@
 
 #include <array>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -443,11 +444,13 @@ void BM_SocketReceive(benchmark::State& state) {
 }
 BENCHMARK(BM_SocketReceive)->Unit(benchmark::kMicrosecond);
 
-// The event core on its own, as a hold model: Arg events stay pending, and
-// each iteration schedules one at a random point ahead of the clock and runs
-// the earliest (its task stops the loop, so Run() returns after one event).
-// The args are the mean heap depths perfbench measured (attrib.heap_depth):
-// 121 on relay_short_flows, 17,157 on relay_bulk.
+// The event core's timer path on its own, as a hold model: Arg events stay
+// pending, and each iteration schedules one at a random point ahead of the
+// clock and runs the earliest (its task stops the loop, so Run() returns
+// after one event). Every one of them is keyed in the heap. The args are the
+// mean pending counts perfbench reports as attrib.heap_depth: 121 on
+// relay_short_flows, 17,157 on relay_bulk. On relay_bulk most of those are
+// lane tasks queued in FIFO streams, outside the heap (see BM_LaneBacklog).
 void BM_EventLoopChurn(benchmark::State& state) {
   const auto depth = static_cast<size_t>(state.range(0));
   const auto horizon = static_cast<int64_t>(2 * depth);
@@ -472,6 +475,49 @@ void BM_EventLoopChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventLoopChurn)->Arg(128)->Arg(16384);
+
+// Lane backlog, as a hold model of relay_bulk's pending events: 8 lanes
+// with 2,048 tasks queued on each, plus 256 timers that re-arm themselves
+// at random points ahead. Each iteration submits one task, round-robin, and
+// runs the loop until a lane task has run (timers due before it run too).
+// The heap holds a key per lane head and per timer, not per queued task.
+void BM_LaneBacklog(benchmark::State& state) {
+  constexpr size_t kLanes = 8;
+  constexpr size_t kBacklog = 2048;
+  constexpr size_t kTimers = 256;
+  constexpr moputil::SimDuration kService = 10;
+  mopsim::EventLoop loop;
+  std::vector<std::unique_ptr<mopsim::ActorLane>> lanes;
+  for (size_t i = 0; i < kLanes; ++i) {
+    lanes.push_back(std::make_unique<mopsim::ActorLane>(&loop, "bench"));
+  }
+  moputil::Rng rng(0x1a2eu);
+  std::vector<moputil::SimDuration> delays(4096);
+  for (auto& d : delays) {
+    d = rng.UniformInt(1, static_cast<int64_t>(2 * kBacklog) * kService);
+  }
+  size_t next = 0;
+  std::function<void()> rearm = [&] {
+    loop.Schedule(delays[next++ & (delays.size() - 1)], [&rearm] { rearm(); });
+  };
+  for (size_t i = 0; i < kTimers; ++i) {
+    rearm();
+  }
+  auto stop = [&loop] { loop.Stop(); };
+  for (size_t i = 0; i < kLanes * kBacklog; ++i) {
+    lanes[i % kLanes]->Submit(0, kService, stop);
+  }
+  size_t lane = 0;
+  for (auto _ : state) {
+    lanes[lane++ % kLanes]->Submit(0, kService, stop);
+    benchmark::DoNotOptimize(loop.Run());
+  }
+  if (loop.pending_events() != kLanes * kBacklog + kTimers) {
+    state.SkipWithError("backlog drifted");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LaneBacklog);
 
 // One ActorLane::Submit of a task with a 48-byte capture (a shared handle
 // among it), plus the run of its event.

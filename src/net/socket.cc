@@ -86,11 +86,12 @@ void ServerConn::Stream(size_t n, SliceAt slice_at) {
     arrival = std::max(arrival, client->last_client_delivery_);
     client->last_client_delivery_ = arrival;
     std::weak_ptr<SocketChannel> weak = client_;
-    ctx_->loop()->ScheduleAt(arrival, [weak, segment = slice_at(offset, chunk)]() mutable {
-      if (auto ch = weak.lock()) {
-        ch->DeliverFromServer(std::move(segment));
-      }
-    });
+    ctx_->loop()->Enqueue(client->client_deliveries_, arrival,
+                          [weak, segment = slice_at(offset, chunk)]() mutable {
+                            if (auto ch = weak.lock()) {
+                              ch->DeliverFromServer(std::move(segment));
+                            }
+                          });
     offset += chunk;
   }
 }
@@ -124,7 +125,7 @@ void ServerConn::Close() {
   moputil::SimTime arrival = std::max(now + one_way_, client->last_client_delivery_ + 1);
   client->last_client_delivery_ = arrival;
   std::weak_ptr<SocketChannel> weak = client_;
-  ctx_->loop()->ScheduleAt(arrival, [weak] {
+  ctx_->loop()->Enqueue(client->client_deliveries_, arrival, [weak] {
     if (auto ch = weak.lock()) {
       ch->ServerClosed();
     }
@@ -307,8 +308,9 @@ void SocketChannel::Write(std::vector<uint8_t> data) {
   while (offset < owner->size()) {
     size_t chunk = std::min(kMss, owner->size() - offset);
     ByteSlice piece{std::shared_ptr<const uint8_t>(owner, owner->data() + offset), chunk};
-    moputil::SimTime departed = ctx_->uplink().DeliverAfter(now, chunk);
-    moputil::SimTime arrival = departed + data_one_way_;
+    moputil::SimTime arrival =
+        std::max(ctx_->uplink().DeliverAfter(now, chunk) + data_one_way_, last_server_delivery_);
+    last_server_delivery_ = arrival;
     ctx_->loop()->ScheduleAt(arrival, [conn, piece = std::move(piece)] {
       if (!conn->client_alive() || conn->behavior() == nullptr) {
         return;
@@ -345,8 +347,9 @@ void SocketChannel::Close() {
   ctx_->capture().Record(now, CaptureEvent::kTcpFin, CaptureDir::kOut, local_, remote_);
   if (server_conn_) {
     auto conn = server_conn_;
-    moputil::SimDuration ow = data_one_way_;
-    ctx_->loop()->Schedule(ow, [conn] {
+    moputil::SimTime arrival = std::max(now + data_one_way_, last_server_delivery_ + 1);
+    last_server_delivery_ = arrival;
+    ctx_->loop()->ScheduleAt(arrival, [conn] {
       if (conn->behavior() != nullptr) {
         conn->behavior()->OnHalfClose(*conn);
       }

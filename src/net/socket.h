@@ -163,8 +163,12 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
 
   // Fixed per-connection one-way delay used for the data phase.
   moputil::SimDuration data_one_way_ = 0;
-  // Order guard for client-bound deliveries.
+  // Order guards: the latest arrival scheduled in each direction, so a FIN
+  // never overtakes data sent before it.
   moputil::SimTime last_client_delivery_ = 0;
+  moputil::SimTime last_server_delivery_ = 0;
+  // Client-bound segments and FIN, in last_client_delivery_ order.
+  mopsim::EventStream client_deliveries_;
 
   std::shared_ptr<ServerConn> server_conn_;
 

@@ -11,11 +11,16 @@
 // Work whose only effect is the time it takes (a syscall whose result no one
 // waits for) is booked with Occupy: it delays later tasks and counts as busy
 // time exactly like a Submit, but schedules no event.
+//
+// Cost model: a lane's tasks run at non-decreasing times, so they form one
+// FIFO EventStream on the loop. A backlog of any length adds one key to the
+// loop's heap, and each task sits inline in the stream's blocks.
 #ifndef MOPEYE_SIM_ACTOR_H_
 #define MOPEYE_SIM_ACTOR_H_
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "sim/event_loop.h"
@@ -28,6 +33,8 @@ class ActorLane {
  public:
   // `name` is for diagnostics only.
   ActorLane(EventLoop* loop, std::string name);
+  ActorLane(const ActorLane&) = delete;
+  ActorLane& operator=(const ActorLane&) = delete;
 
   // Submits a task:
   //   start = max(now + wake_latency, lane free time)
@@ -35,11 +42,12 @@ class ActorLane {
   // `fn` runs at `end` (its externally visible effects happen when the
   // simulated thread finishes the work), so inside it Now() == end, and the
   // log lane token names this lane. `fn` is wrapped once: it and the lane's
-  // token share one Task, so a capture of up to 48 bytes stays inline.
+  // token share one Task, so a capture of up to 48 bytes stays inline. The
+  // task still runs if the lane is destroyed first.
   template <typename F>
   void Submit(SimDuration wake_latency, SimDuration service, F&& fn) {
     Occupy(wake_latency, service);
-    loop_->ScheduleAt(free_at_, [fn = std::forward<F>(fn), token = log_token_]() mutable {
+    loop_->Enqueue(stream_, free_at_, [fn = std::forward<F>(fn), token = log_token_]() mutable {
       ScopedLaneToken lane_token(token->c_str());
       fn();
     });
@@ -74,6 +82,7 @@ class ActorLane {
   };
 
   EventLoop* loop_;
+  EventStream stream_;
   std::string name_;
   // The lane name, shared into scheduled closures so the log-prefix lane
   // token stays valid even if a task outlives its (retired) lane.
@@ -82,6 +91,9 @@ class ActorLane {
   SimDuration busy_time_ = 0;
   size_t tasks_run_ = 0;
 };
+
+// A copy would share the stream handle, merging two lanes' FIFOs.
+static_assert(!std::is_copy_constructible_v<ActorLane> && !std::is_move_constructible_v<ActorLane>);
 
 }  // namespace mopsim
 

@@ -32,10 +32,17 @@ bool EventLoop::Before(const Key& a, const Key& b) {
 }
 
 EventLoop::~EventLoop() {
-  // Destroy pending captures while the loop is still whole: a capture's
-  // destructor may cancel another timer on this loop.
-  for (size_t slot = 0; slot < gens_.size(); ++slot) {
-    TaskAt(static_cast<uint32_t>(slot)).Reset();
+  // Destroy pending captures in run order while the loop is still whole: a
+  // capture's destructor may cancel a timer, schedule or enqueue, and
+  // whatever it adds is destroyed in turn.
+  while (!heap_.empty()) {
+    const Key top = heap_.front();
+    PopTop();
+    if (top.slot & kStreamBit) {
+      PopStreamHead(top.slot & ~kStreamBit).Reset();
+    } else {
+      Cancel((TimerId{top.gen} << 32) | (TimerId{top.slot} + 1));  // no-op if cancelled
+    }
   }
 }
 
@@ -53,7 +60,7 @@ TimerId EventLoop::ScheduleAt(SimTime when, Task task) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    MOP_CHECK_LT(gens_.size(), size_t{UINT32_MAX}) << "event slab full";
+    MOP_CHECK_LT(gens_.size(), size_t{kStreamBit}) << "event slab full";
     slot = static_cast<uint32_t>(gens_.size());
     if ((slot & (kChunkSlots - 1)) == 0) {
       chunks_.push_back(std::make_unique<Task[]>(kChunkSlots));
@@ -81,6 +88,85 @@ bool EventLoop::Cancel(TimerId id) {
   TaskAt(static_cast<uint32_t>(slot)).Reset();
   free_slots_.push_back(static_cast<uint32_t>(slot));
   return true;
+}
+
+void EventLoop::Enqueue(EventStream& stream, SimTime when, Task task) {
+  if (when < now_) {
+    when = now_;
+  }
+  uint32_t q = stream.queue_;
+  const bool idle = q >= queues_.size() || queues_[q].gen != stream.gen_;
+  if (idle) {
+    if (!free_queues_.empty()) {
+      q = free_queues_.back();
+      free_queues_.pop_back();
+    } else {
+      MOP_CHECK_LT(queues_.size(), size_t{kStreamBit}) << "too many event streams";
+      q = static_cast<uint32_t>(queues_.size());
+      queues_.emplace_back();
+    }
+    queues_[q].head = queues_[q].tail = AcquireBlock();
+    stream.queue_ = q;
+    stream.gen_ = queues_[q].gen;
+  }
+  StreamQueue& queue = queues_[q];
+  MOP_DCHECK(idle || when >= queue.tail->entries[queue.tail_pos - 1].when)
+      << "stream time went back";
+  if (queue.tail_pos == kBlockEntries) {
+    Block* block = AcquireBlock();
+    queue.tail->next = block;
+    queue.tail = block;
+    queue.tail_pos = 0;
+  }
+  StreamEntry& entry = queue.tail->entries[queue.tail_pos++];
+  entry.when = when;
+  entry.seq = next_seq_++;
+  entry.task = std::move(task);
+  ++pending_;
+  if (idle) {
+    PushKey(Key{when, entry.seq, kStreamBit | q, queue.gen});
+  }
+}
+
+EventLoop::Block* EventLoop::AcquireBlock() {
+  Block* block = free_blocks_;
+  if (block != nullptr) {
+    free_blocks_ = block->next;
+  } else {
+    blocks_.push_back(std::make_unique<Block>());
+    block = blocks_.back().get();
+  }
+  block->next = nullptr;
+  return block;
+}
+
+void EventLoop::ReleaseBlock(Block* block) {
+  block->next = free_blocks_;
+  free_blocks_ = block;
+}
+
+Task EventLoop::PopStreamHead(uint32_t q) {
+  --pending_;
+  StreamQueue& queue = queues_[q];
+  Task task = std::move(queue.head->entries[queue.head_pos++].task);
+  if (queue.head == queue.tail && queue.head_pos == queue.tail_pos) {
+    // Drained: the new generation makes the owner's handle stale.
+    ReleaseBlock(queue.head);
+    const uint32_t gen = queue.gen + 1;
+    queue = StreamQueue{};
+    queue.gen = gen;
+    free_queues_.push_back(q);
+    return task;
+  }
+  if (queue.head_pos == kBlockEntries) {
+    Block* spent = queue.head;
+    queue.head = spent->next;
+    queue.head_pos = 0;
+    ReleaseBlock(spent);
+  }
+  const StreamEntry& next = queue.head->entries[queue.head_pos];
+  PushKey(Key{next.when, next.seq, kStreamBit | q, queue.gen});
+  return task;
 }
 
 void EventLoop::PushKey(const Key& key) {
@@ -132,6 +218,12 @@ bool EventLoop::RunOne(SimTime limit) {
       return false;
     }
     PopTop();
+    if (top.slot & kStreamBit) {
+      now_ = top.when;
+      Task task = PopStreamHead(top.slot & ~kStreamBit);
+      task();
+      return true;
+    }
     if (gens_[top.slot] != top.gen) {  // cancelled
       continue;
     }

@@ -7,20 +7,30 @@
 // Cost model: scheduling, running and cancelling an event allocate nothing
 // in the steady state.
 //  * A task is a Task: a move-only void() callable. The loop owns it from
-//    Schedule until it has run or been cancelled. Callables of up to
-//    Task::kInlineSize (64) bytes whose move cannot throw live inline in the
-//    Task; larger ones, or ones whose move may throw, take one heap
+//    Schedule or Enqueue until it has run or been cancelled. Callables of up
+//    to Task::kInlineSize (64) bytes whose move cannot throw live inline in
+//    the Task; larger ones, or ones whose move may throw, take one heap
 //    allocation.
-//  * Pending tasks live in a slab of slots recycled through a free list. A
-//    TimerId is the slot plus the slot's 32-bit generation
-//    (`generation << 32 | (slot + 1)`, so never kInvalidTimer), and Cancel
-//    compares generations in O(1). Cancel destroys the task's captures
-//    immediately and frees the slot; an id whose event ran or was cancelled
-//    stays dead even after its slot is reused.
+//  * Timers and one-off events (Schedule/ScheduleAt/Post) live in a slab of
+//    slots recycled through a free list. A TimerId is the slot plus the
+//    slot's 32-bit generation (`generation << 32 | (slot + 1)`, so never
+//    kInvalidTimer), and Cancel compares generations in O(1). Cancel
+//    destroys the task's captures immediately and frees the slot; an id
+//    whose event ran or was cancelled stays dead even after its slot is
+//    reused.
+//  * A producer whose times never decrease (an ActorLane, a socket's
+//    client-bound deliveries) enqueues onto its own FIFO stream instead.
+//    Enqueue stamps the task's (when, seq) as ScheduleAt would and stores it
+//    inline in fixed-size blocks drawn from one free list shared by every
+//    stream. Only a stream's head is keyed in the heap; when it pops, its
+//    successor's key goes in. Stream tasks cannot be cancelled.
 //  * Order is a 4-ary min-heap of 24-byte keys {when, seq, slot, gen} by
-//    (when, seq), where seq counts Schedule calls: that is the FIFO
-//    tie-break. A cancelled event's key stays in the heap until it reaches
-//    the top, where its stale generation gets it skipped.
+//    (when, seq), where seq counts Schedule and Enqueue calls: that is the
+//    FIFO tie-break, and it is why a stream runs its tasks exactly where
+//    ScheduleAt would have. The heap holds one key per timer plus one per
+//    non-empty stream, so a lane's backlog does not deepen it. A cancelled
+//    event's key stays in the heap until it reaches the top, where its stale
+//    generation gets it skipped.
 #ifndef MOPEYE_SIM_EVENT_LOOP_H_
 #define MOPEYE_SIM_EVENT_LOOP_H_
 
@@ -123,6 +133,24 @@ class Task {
   const Ops* ops_ = nullptr;
 };
 
+// An owner's handle on its FIFO event stream. A stream holds a queue in the
+// loop only while it has pending tasks: a drained queue is recycled under a
+// new generation, so the handle goes stale and the next Enqueue takes a
+// fresh queue. The handle touches nothing when destroyed, so an owner may die
+// with tasks queued; they still run, in order. It cannot be copied or moved:
+// two handles on one queue would merge two streams.
+class EventStream {
+ public:
+  EventStream() = default;
+  EventStream(const EventStream&) = delete;
+  EventStream& operator=(const EventStream&) = delete;
+
+ private:
+  friend class EventLoop;
+  uint32_t queue_ = UINT32_MAX;
+  uint32_t gen_ = 0;
+};
+
 class EventLoop {
  public:
   EventLoop() = default;
@@ -143,6 +171,12 @@ class EventLoop {
   // already ran (or is running), was cancelled, or is unknown.
   bool Cancel(TimerId id);
 
+  // Appends `task` to `stream`, to run at `when` (clamped to now if in the
+  // past), after the stream's earlier tasks and wherever ScheduleAt(when,
+  // task) would have put it among everything else. A stream's times must
+  // never decrease (checked in Debug builds). Cannot be cancelled.
+  void Enqueue(EventStream& stream, SimTime when, Task task);
+
   // Runs until the queue drains or Stop() is called. Returns events executed.
   size_t Run();
   // Runs events with time <= deadline; clock lands on `deadline` afterward
@@ -152,19 +186,47 @@ class EventLoop {
   size_t RunFor(SimDuration d) { return RunUntil(now_ + d); }
   void Stop() { stopped_ = true; }
 
-  // Events scheduled, not yet run and not cancelled.
+  // Events scheduled or enqueued, not yet run and not cancelled.
   size_t pending_events() const { return pending_; }
 
  private:
   struct Key {
     SimTime when;
     uint64_t seq;
-    uint32_t slot;
+    uint32_t slot;  // a slab slot, or kStreamBit | stream queue
     uint32_t gen;
   };
   static_assert(sizeof(Key) == 24);
+  static constexpr uint32_t kStreamBit = uint32_t{1} << 31;
   // Orders by (when, seq).
   static bool Before(const Key& a, const Key& b);
+
+  // A stream's tasks, stamped at Enqueue, in blocks that stay put until the
+  // loop is destroyed: a queue is a singly linked run of blocks, read from
+  // head_pos in its first and appended at tail_pos in its last. An empty
+  // queue holds no block.
+  struct StreamEntry {
+    SimTime when;
+    uint64_t seq;
+    Task task;
+  };
+  static constexpr uint32_t kBlockEntries = 32;
+  struct Block {
+    StreamEntry entries[kBlockEntries];
+    Block* next = nullptr;
+  };
+  struct StreamQueue {
+    Block* head = nullptr;
+    Block* tail = nullptr;
+    uint32_t head_pos = 0;
+    uint32_t tail_pos = 0;
+    uint32_t gen = 0;  // advances when the queue drains
+  };
+  Block* AcquireBlock();
+  void ReleaseBlock(Block* block);
+  // Takes queue `q`'s head task off the pending count and moves it out.
+  // Keys its successor into the heap, or recycles the drained queue.
+  Task PopStreamHead(uint32_t q);
 
   // Slots are allocated in fixed chunks so a running task never moves while
   // it schedules more.
@@ -189,6 +251,10 @@ class EventLoop {
   std::vector<uint32_t> gens_;
   std::vector<uint32_t> free_slots_;
   std::vector<std::unique_ptr<Task[]>> chunks_;
+  std::vector<StreamQueue> queues_;
+  std::vector<uint32_t> free_queues_;
+  std::vector<std::unique_ptr<Block>> blocks_;
+  Block* free_blocks_ = nullptr;
 };
 
 }  // namespace mopsim

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/capture.h"
 #include "net/conn_table.h"
 #include "net/dns_server.h"
@@ -9,6 +12,7 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "netpkt/dns.h"
+#include "sim/actor.h"
 #include "sim/event_loop.h"
 #include "util/rng.h"
 
@@ -226,6 +230,68 @@ TEST(SocketChannel, EchoPreservesMultiSegmentContent) {
     EXPECT_EQ(ch->bytes_sent(), kBytes) << "port " << port;
     EXPECT_EQ(got, sent) << "port " << port;
   }
+}
+
+// Logs what reaches the server, in arrival order.
+class ArrivalLogBehavior : public mopnet::ServerBehavior {
+ public:
+  explicit ArrivalLogBehavior(std::vector<std::string>* log) : log_(log) {}
+  void OnData(mopnet::ServerConn&, std::span<const uint8_t> data) override {
+    log_->push_back("data" + std::to_string(data.size()));
+  }
+  void OnHalfClose(mopnet::ServerConn&) override { log_->push_back("fin"); }
+
+ private:
+  std::vector<std::string>* log_;
+};
+
+// A FIN sent right after a multi-segment Write reaches the server after the
+// write's last piece, though the pieces still queue on the uplink when the
+// FIN leaves.
+TEST(SocketChannel, FinArrivesAfterDataWrittenBeforeIt) {
+  NetFixture f;
+  IpAddr ip(93, 0, 0, 13);
+  std::vector<std::string> log;
+  f.farm.AddTcpServer({ip, 80}, [&log] { return std::make_unique<ArrivalLogBehavior>(&log); });
+  auto ch = mopnet::SocketChannel::Create(&f.ctx);
+  ch->Connect({ip, 80}, [&](moputil::Status st) {
+    ASSERT_TRUE(st.ok());
+    ch->Write(std::vector<uint8_t>(10000, 0x5a));
+    ch->Close();
+  });
+  f.loop.Run();
+  std::vector<std::string> want(6, "data1460");
+  want.push_back("data1240");
+  want.push_back("fin");
+  EXPECT_EQ(log, want);
+}
+
+// NetFixture destroys the NetContext before the EventLoop. Here a channel's
+// last reference sits in a queued lane task that comes before most of the
+// channel's own queued segments, and the lane is owned by a timer's
+// capture. ~EventLoop destroys all of them after the context is gone, so
+// neither the channel nor the lane may touch the context or the loop as
+// they die; an ASan build reports it if one does.
+TEST(SocketChannel, DiesInsideLoopTeardownWithDeliveriesQueued) {
+  std::weak_ptr<mopnet::SocketChannel> watch;
+  {
+    NetFixture f;
+    IpAddr ip(93, 0, 0, 14);
+    f.farm.AddTcpServer(
+        {ip, 80}, [] { return std::make_unique<mopnet::BulkSourceBehavior>(64 * 1024); });
+    auto ch = mopnet::SocketChannel::Create(&f.ctx);
+    watch = ch;
+    ch->Connect({ip, 80}, [](moputil::Status) {});
+    f.loop.RunUntil(Millis(25));
+    ASSERT_EQ(ch->state(), mopnet::ChannelState::kConnected);
+    const size_t queued = f.loop.pending_events();
+    EXPECT_GT(queued, 20u);
+    auto lane = std::make_unique<mopsim::ActorLane>(&f.loop, "owner");
+    lane->Submit(Millis(1), 0, [ch = std::move(ch)] { FAIL() << "ran after teardown"; });
+    f.loop.Schedule(Seconds(1), [lane = std::move(lane)] {});
+    EXPECT_EQ(f.loop.pending_events(), queued + 2);
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(SocketChannel, ServerCloseDeliversEof) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -248,22 +249,33 @@ TEST(EventLoop, MoveOnlyCapturesAreDestroyedOnce) {
 
 TEST(EventLoop, SteadyStateTasksAllocateNothing) {
   EventLoop loop;
-  ActorLane lane(&loop, "alloc");
+  constexpr int kLanes = 4;
+  std::vector<std::unique_ptr<ActorLane>> lanes;
+  for (int i = 0; i < kLanes; ++i) {
+    lanes.push_back(std::make_unique<ActorLane>(&loop, "alloc"));
+  }
   uint64_t sink = 0;
   auto handle = std::make_shared<uint64_t>(7);  // not trivially copyable
   std::array<uint64_t, 3> words = {1, 2, 3};
   auto task = [words, handle, sink_ptr = &sink] { *sink_ptr += words[1] + *handle; };
   static_assert(sizeof(task) == 48);
 
+  // Every 64 submissions the loop runs until every stream has drained, so
+  // each lane's queue is recycled under a new generation eight times a
+  // round, and refilled by whichever lane enqueues first.
   constexpr int kBurst = 512;
   auto round = [&] {
     for (int i = 0; i < kBurst; ++i) {
       loop.ScheduleAt(loop.Now() + 1 + i % 7, task);
-      lane.Submit(1, 2, task);
+      lanes[static_cast<size_t>(i % kLanes)]->Submit(1 + i % 3, 2 + i % 5, task);
+      if (i % 64 == 63) {
+        loop.RunUntil(loop.Now() + 400);
+        EXPECT_EQ(loop.pending_events(), 0u);
+      }
     }
     loop.Run();
   };
-  round();  // warm-up: grows the slab, the heap and the free list
+  round();  // warm-up: grows the slab, the heap, the queues and the blocks
   const uint64_t before = g_allocations.load();
   for (int r = 0; r < 4; ++r) {
     round();
@@ -273,6 +285,81 @@ TEST(EventLoop, SteadyStateTasksAllocateNothing) {
   EXPECT_EQ(sink, 5u * 2 * kBurst * 9);
 }
 
+// Runs a callback when destroyed; a moved-from one does nothing.
+class OnDestroy {
+ public:
+  explicit OnDestroy(std::function<void()> fn) : fn_(std::move(fn)) {}
+  OnDestroy(OnDestroy&& other) noexcept : fn_(std::exchange(other.fn_, nullptr)) {}
+  OnDestroy& operator=(OnDestroy&&) = delete;
+  ~OnDestroy() {
+    if (fn_) {
+      fn_();
+    }
+  }
+
+ private:
+  std::function<void()> fn_;
+};
+
+// ~EventLoop destroys every queued stream task's captures exactly once, in
+// run order, also when those destructors cancel a timer, enqueue more work
+// or destroy a lane whose tasks are still queued.
+TEST(EventLoop, TeardownDestroysStreamCapturesOnce) {
+  int destroyed = 0;
+  int ran = 0;
+  auto counter = [&destroyed] { return std::make_unique<DestroyCounter>(&destroyed); };
+  {
+    mopsim::EventStream late;  // outlives the loop
+    EventLoop loop;
+    mopsim::EventStream stream;
+    ActorLane lane(&loop, "lane");
+    auto doomed = std::make_unique<ActorLane>(&loop, "doomed");
+    // A backlog spanning several blocks, of which the first few run.
+    for (int i = 0; i < 100; ++i) {
+      loop.Enqueue(stream, Millis(1) + i, [c = counter(), &ran] { ++ran; });
+    }
+    loop.RunUntil(Millis(1) + 4);
+    EXPECT_EQ(ran, 5);
+    EXPECT_EQ(destroyed, 5);
+
+    const TimerId timer = loop.Schedule(Millis(50), [c = counter(), &ran] { ++ran; });
+    lane.Submit(Millis(10), 0, [c = counter(), d = OnDestroy([&loop, timer] {
+                                                  EXPECT_TRUE(loop.Cancel(timer));
+                                                }),
+                                &ran] { ++ran; });
+    lane.Submit(Millis(10), 0, [c = counter(), d = OnDestroy([&loop, &late, &counter, &ran] {
+                                                  loop.Enqueue(late, Millis(60),
+                                                               [c = counter(), &ran] { ++ran; });
+                                                }),
+                                &ran] { ++ran; });
+    doomed->Submit(Millis(30), 0, [c = counter(), &ran] { ++ran; });
+    doomed->Submit(Millis(30), 0, [c = counter(), &ran] { ++ran; });
+    lane.Submit(Millis(10), 0, [c = counter(), d = std::move(doomed), &ran] { ++ran; });
+    EXPECT_EQ(loop.pending_events(), 95u + 1 + 3 + 2);
+    EXPECT_EQ(destroyed, 5);
+  }
+  EXPECT_EQ(ran, 5);
+  // 100 stream tasks, the timer, the lanes' five tasks and the one enqueued
+  // from a destructor.
+  EXPECT_EQ(destroyed, 100 + 1 + 5 + 1);
+}
+
+#ifndef NDEBUG
+// A stream runs its tasks in enqueue order, so a time that goes back would
+// run out of (when, seq) order. Debug builds abort on it.
+TEST(EventLoopDeathTest, StreamTimeGoingBackAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        mopsim::EventStream stream;
+        loop.Enqueue(stream, Millis(2), [] {});
+        loop.Enqueue(stream, Millis(1), [] {});
+      },
+      "stream time went back");
+}
+#endif  // NDEBUG
+
 // The loop against a reference model on generated schedules.
 //
 // One script drives either loop through a thin adapter, and records what it
@@ -280,7 +367,9 @@ TEST(EventLoop, SteadyStateTasksAllocateNothing) {
 // pending_events() after every step. The script draws from one generator on
 // each side, so both sides see the same operations as long as they agree.
 // The reference keeps pending events in a set sorted by (when, schedule
-// order), plus the set of cancelled ones.
+// order), plus the set of cancelled ones. It models a stream task as a plain
+// ScheduleAt that Cancel cannot reach, and a stream's owner as nothing at
+// all: dropping one changes nothing it runs.
 class ReferenceLoop {
  public:
   SimTime Now() const { return now_; }
@@ -292,9 +381,16 @@ class ReferenceLoop {
     queue_.emplace(when, when_.size());
     when_.push_back(when);
     fns_.push_back(std::move(fn));
+    streamed_.push_back(false);
   }
+  void Enqueue(size_t, SimTime when, std::function<void()> fn) {
+    ScheduleAt(when, std::move(fn));
+    streamed_.back() = true;
+  }
+  void DropStream(size_t) {}
   bool Cancel(size_t label) {
-    if (queue_.count({when_[label], label}) == 0 || cancelled_.count(label) != 0) {
+    if (streamed_[label] || queue_.count({when_[label], label}) == 0 ||
+        cancelled_.count(label) != 0) {
       return false;
     }
     cancelled_.insert(label);
@@ -331,10 +427,19 @@ class ReferenceLoop {
   std::set<size_t> cancelled_;
   std::vector<SimTime> when_;
   std::vector<std::function<void()>> fns_;
+  std::vector<bool> streamed_;
 };
+
+constexpr size_t kScriptStreams = 4;
 
 class RealLoop {
  public:
+  RealLoop() {
+    for (auto& stream : streams_) {
+      stream = std::make_unique<mopsim::EventStream>();
+    }
+  }
+
   SimTime Now() const { return loop_.Now(); }
   size_t pending() const { return loop_.pending_events(); }
   size_t labels() const { return ids_.size(); }
@@ -342,6 +447,12 @@ class RealLoop {
   void ScheduleAt(SimTime when, std::function<void()> fn) {
     ids_.push_back(loop_.ScheduleAt(when, std::move(fn)));
   }
+  void Enqueue(size_t stream, SimTime when, std::function<void()> fn) {
+    loop_.Enqueue(*streams_[stream], when, std::move(fn));
+    ids_.push_back(mopsim::kInvalidTimer);
+  }
+  // The owner dies with its tasks queued; a new one takes its place.
+  void DropStream(size_t stream) { streams_[stream] = std::make_unique<mopsim::EventStream>(); }
   bool Cancel(size_t label) { return loop_.Cancel(ids_[label]); }
   // kInvalidTimer, and an id whose slot was never handed out.
   bool CancelForged(int kind) {
@@ -352,20 +463,32 @@ class RealLoop {
 
  private:
   EventLoop loop_;
+  std::array<std::unique_ptr<mopsim::EventStream>, kScriptStreams> streams_;
   std::vector<TimerId> ids_;
 };
 
 template <typename Loop>
 class ScheduleScript {
  public:
-  explicit ScheduleScript(uint64_t seed) : rng_(seed) {}
+  explicit ScheduleScript(uint64_t seed) : rng_(seed) {
+    for (size_t s = 0; s < kScriptStreams; ++s) {
+      NewOwner(s);
+    }
+  }
 
   std::vector<std::string> Play() {
-    for (int step = 0; step < 600; ++step) {
+    for (int step = 0; step < 900; ++step) {
       const uint32_t op = rng_.NextU32() % 100;
-      if (op < 45) {
+      if (op < 30) {
         Schedule(0);
-      } else if (op < 65) {
+      } else if (op < 50) {
+        Enqueue(0, rng_.NextU32() % kScriptStreams, "");
+      } else if (op < 53) {
+        const size_t s = rng_.NextU32() % kScriptStreams;
+        Note("drop s" + std::to_string(s), pending_of_[owner_of_[s]]);
+        loop_.DropStream(s);
+        NewOwner(s);
+      } else if (op < 66) {
         CancelSome();
       } else if (op < 70) {
         Note("forged", loop_.CancelForged(static_cast<int>(rng_.NextU32() % 2)));
@@ -400,10 +523,54 @@ class ScheduleScript {
     }
   }
 
+  // A stream's times never decrease, but start at most a few ticks in the
+  // past (and are clamped), and repeat often, tying with each other and
+  // with the timers drawn above.
+  SimTime DrawStreamWhen(size_t owner) {
+    SimTime when = std::max(last_of_[owner], loop_.Now() - rng_.NextU32() % 4);
+    switch (rng_.NextU32() % 4) {
+      case 0:
+        break;
+      case 1:
+      case 2:
+        when += rng_.NextU32() % 3;
+        break;
+      default:
+        when += rng_.NextU32() % 40;
+    }
+    last_of_[owner] = when;
+    return when;
+  }
+
+  void NewOwner(size_t stream) {
+    owner_of_[stream] = pending_of_.size();
+    pending_of_.push_back(0);
+    enqueued_of_.push_back(0);
+    last_of_.push_back(loop_.Now() - rng_.NextU32() % 8);
+  }
+
   void Schedule(int depth) {
     const size_t label = loop_.labels();
-    loop_.ScheduleAt(DrawWhen(), [this, label, depth] { RunTask(label, depth); });
+    loop_.ScheduleAt(DrawWhen(), [this, label, depth] { RunTask(label, depth, kNoStream); });
     Note("schedule", static_cast<int64_t>(label));
+  }
+
+  // `from` tags an enqueue made by a running task onto its own stream or
+  // another; a refill is an enqueue onto an owner's drained stream.
+  void Enqueue(int depth, size_t stream, const std::string& from) {
+    const size_t label = loop_.labels();
+    const size_t owner = owner_of_[stream];
+    const SimTime when = DrawStreamWhen(owner);
+    const char* kind = enqueued_of_[owner] == 0 ? "first" : pending_of_[owner] == 0 ? "refill" : "";
+    ++pending_of_[owner];
+    ++enqueued_of_[owner];
+    loop_.Enqueue(stream, when, [this, label, depth, stream, owner] {
+      --pending_of_[owner];
+      RunTask(label, depth, stream);
+    });
+    Note("enqueue s" + std::to_string(stream) + " " + kind + from +
+             (when < loop_.Now() ? " past" : ""),
+         static_cast<int64_t>(label));
   }
 
   void CancelSome() {
@@ -419,19 +586,24 @@ class ScheduleScript {
     Note("cancel " + std::to_string(label), loop_.Cancel(label));
   }
 
-  // Tasks schedule and cancel from inside themselves, including their own
-  // (already running) id; nesting is bounded so Run() drains.
-  void RunTask(size_t label, int depth) {
+  // Tasks schedule, enqueue (onto their own stream and others) and cancel
+  // from inside themselves, including their own (already running) id;
+  // nesting is bounded so Run() drains.
+  void RunTask(size_t label, int depth, size_t stream) {
     Note("run " + std::to_string(label), loop_.Now());
     const uint32_t ops = rng_.NextU32() % 4;
     for (uint32_t i = 0; i < ops; ++i) {
-      const uint32_t op = rng_.NextU32() % 3;
+      const uint32_t op = rng_.NextU32() % 5;
       if (op == 0 && depth < 3) {
         Schedule(depth + 1);
       } else if (op == 1) {
         CancelSome();
-      } else {
+      } else if (op == 2) {
         Note("cancel self", loop_.Cancel(label));
+      } else if (depth < 3) {
+        const size_t target = op == 3 && stream != kNoStream ? stream
+                                                              : rng_.NextU32() % kScriptStreams;
+        Enqueue(depth + 1, target, target == stream ? " own" : " other");
       }
     }
   }
@@ -441,9 +613,17 @@ class ScheduleScript {
                      " pending " + std::to_string(loop_.pending()));
   }
 
+  static constexpr size_t kNoStream = SIZE_MAX;
+
   Loop loop_;
   moputil::Rng rng_;
   std::vector<std::string> trace_;
+  // Per stream, its current owner; per owner, its pending and enqueued
+  // task counts and its latest time.
+  std::array<size_t, kScriptStreams> owner_of_{};
+  std::vector<int> pending_of_;
+  std::vector<int> enqueued_of_;
+  std::vector<SimTime> last_of_;
 };
 
 TEST(EventLoop, MatchesReferenceModelOnGeneratedSchedules) {
@@ -466,6 +646,12 @@ TEST(EventLoop, MatchesReferenceModelOnGeneratedSchedules) {
     EXPECT_GT(count("cancel ", "-> 1 @"), 10);
     EXPECT_GT(count("cancel ", "-> 0 @"), 10);
     EXPECT_GT(count("cancel self", "-> 0 @"), 10);
+    EXPECT_GT(count("enqueue ", ""), 100);
+    EXPECT_GT(count("enqueue ", " refill"), 10);
+    EXPECT_GT(count("enqueue ", " own"), 10);
+    EXPECT_GT(count("enqueue ", " other"), 10);
+    EXPECT_GT(count("enqueue ", " past"), 5);
+    EXPECT_GT(count("drop ", "") - count("drop ", "-> 0 @"), 3);  // owners dropped while busy
   }
 }
 
