@@ -94,7 +94,7 @@ std::vector<AppStat> TcpAppStatsOf(const AggregateStore& store, const Interner& 
       continue;
     }
     out.push_back({apps.Name(app), entry.count(), entry.median_ms(), entry.p95_ms(),
-                   entry.stats.mean()});
+                   entry.mean_ms()});
   }
   std::sort(out.begin(), out.end(), [](const AppStat& a, const AppStat& b) {
     return a.count != b.count ? a.count > b.count : a.app < b.app;

@@ -1,13 +1,14 @@
 // Streaming aggregates over ingested crowd measurements.
 //
 // The collector never keeps the raw record stream in memory: each record
-// folds once into the entry for its key, holding a count, Welford
-// mean/variance, and a log-bucket quantile sketch — O(1) memory per distinct
-// key at millions of records (the paper's 5.25M-record dataset collapses to a
-// few thousand keys). Keys are (app, isp, country, net_type, kind)
-// global-interner ids. The per-app (Fig. 9) and per-ISP DNS (Fig. 11 /
-// Table 6) queries are group-bys over those keys: they merge the matching
-// entries at query time, which is exact because every entry merges exactly.
+// folds once into the entry for its key, holding a log-bucket quantile
+// sketch (whose total is the count) and the sum the mean needs — O(1)
+// memory per distinct key at millions of records (the paper's 5.25M-record
+// dataset collapses to a few thousand keys). Keys are (app, isp, country,
+// net_type, kind) global-interner ids. The per-app (Fig. 9) and per-ISP DNS
+// (Fig. 11 / Table 6) queries are group-bys over those keys: they merge the
+// matching entries at query time, which is exact because the sketches merge
+// by bucket addition (the sums to floating-point rounding).
 //
 // Entries are partitioned into hash shards. Everything runs on one
 // deterministic event loop, so shards need no locks.
@@ -51,7 +52,8 @@ struct AggregateKey {
   bool operator==(const AggregateKey&) const = default;
 };
 
-// Count + moments + streaming median/P95. No raw samples retained.
+// Streaming median/P95 plus the sum the mean needs; the count is the
+// sketch's total. No raw samples retained.
 //
 // The log-bucket sketch is order-insensitive with a guaranteed 2% relative
 // error, and merges exactly by bucket addition, so a fleet-merged entry
@@ -59,21 +61,22 @@ struct AggregateKey {
 struct AggregateEntry {
   static constexpr double kRelErr = 0.02;
 
-  moputil::OnlineStats stats;
   moputil::LogQuantile quantiles{kRelErr};
+  double sum_ms = 0;
 
   void Add(double rtt_ms) {
-    stats.Add(rtt_ms);
     quantiles.Add(rtt_ms);
+    sum_ms += rtt_ms;
   }
 
   // Folds `o` in: as if both entries' streams had been Add()ed here.
   void MergeFrom(const AggregateEntry& o) {
-    stats.MergeFrom(o.stats);
     quantiles.MergeFrom(o.quantiles);
+    sum_ms += o.sum_ms;
   }
 
-  size_t count() const { return stats.count(); }
+  size_t count() const { return quantiles.count(); }
+  double mean_ms() const { return count() ? sum_ms / static_cast<double>(count()) : 0.0; }
   double median_ms() const { return quantiles.Median(); }
   double p95_ms() const { return quantiles.Quantile(95.0); }
 };

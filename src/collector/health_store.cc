@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <limits>
-
-#include "util/hash.h"
 
 namespace mopcollect {
 
@@ -74,16 +71,6 @@ uint64_t HealthStore::Metric::HistCount() const {
   return n;
 }
 
-HealthStore::HealthStore(size_t shards) : shards_(shards == 0 ? 1 : shards) {}
-
-HealthStore::Shard& HealthStore::ShardOf(std::string_view name) {
-  return shards_[moputil::Mix64(std::hash<std::string_view>{}(name)) % shards_.size()];
-}
-
-const HealthStore::Shard& HealthStore::ShardOf(std::string_view name) const {
-  return shards_[moputil::Mix64(std::hash<std::string_view>{}(name)) % shards_.size()];
-}
-
 void HealthStore::Fold(const WireTelemetry& t) {
   ++folds_;
   for (const WireHealthEntry& e : t.health) {
@@ -93,14 +80,13 @@ void HealthStore::Fold(const WireTelemetry& t) {
 
 void HealthStore::FoldEntry(uint32_t device_id, uint32_t seq, const WireHealthEntry& e) {
   devices_.insert(device_id);
-  Shard& shard = ShardOf(e.name);
-  auto it = shard.metrics.find(e.name);
-  if (it == shard.metrics.end()) {
+  auto it = metrics_.find(e.name);
+  if (it == metrics_.end()) {
     Metric m;
     m.kind = e.kind;
     m.merge = e.merge;
     m.rel_err = e.rel_err;
-    it = shard.metrics.emplace(e.name, std::move(m)).first;
+    it = metrics_.emplace(e.name, std::move(m)).first;
   }
   Metric& m = it->second;
   if (m.kind != e.kind || (m.kind == 1 && m.merge != e.merge) ||
@@ -138,44 +124,41 @@ void HealthStore::FoldEntry(uint32_t device_id, uint32_t seq, const WireHealthEn
 }
 
 void HealthStore::MergeFrom(const HealthStore& o) {
-  for (const Shard& os : o.shards_) {
-    for (const auto& [name, om] : os.metrics) {
-      Shard& shard = ShardOf(name);
-      auto it = shard.metrics.find(name);
-      if (it == shard.metrics.end()) {
-        shard.metrics.emplace(name, om);
-        continue;
-      }
-      Metric& m = it->second;
-      if (m.kind != om.kind) {
-        ++conflicts_;
-        continue;
-      }
-      switch (m.kind) {
-        case 0:
-          m.counter += om.counter;
-          break;
-        case 1:
-          for (const auto& [device, cell] : om.gauges) {
-            auto g = m.gauges.find(device);
-            if (g == m.gauges.end()) {
-              m.gauges.emplace(device, cell);
-            } else if (SeqNewer(cell.seq, g->second.seq)) {
-              g->second = cell;
-            }
+  for (const auto& [name, om] : o.metrics_) {
+    auto it = metrics_.find(name);
+    if (it == metrics_.end()) {
+      metrics_.emplace(name, om);
+      continue;
+    }
+    Metric& m = it->second;
+    if (m.kind != om.kind) {
+      ++conflicts_;
+      continue;
+    }
+    switch (m.kind) {
+      case 0:
+        m.counter += om.counter;
+        break;
+      case 1:
+        for (const auto& [device, cell] : om.gauges) {
+          auto g = m.gauges.find(device);
+          if (g == m.gauges.end()) {
+            m.gauges.emplace(device, cell);
+          } else if (SeqNewer(cell.seq, g->second.seq)) {
+            g->second = cell;
           }
-          break;
-        case 2:
-          if (m.rel_err == 0) m.rel_err = om.rel_err;
-          m.sum += om.sum;
-          m.zero_or_less += om.zero_or_less;
-          for (const auto& [idx, count] : om.buckets) {
-            m.buckets[idx] += count;
-          }
-          break;
-        default:
-          break;
-      }
+        }
+        break;
+      case 2:
+        if (m.rel_err == 0) m.rel_err = om.rel_err;
+        m.sum += om.sum;
+        m.zero_or_less += om.zero_or_less;
+        for (const auto& [idx, count] : om.buckets) {
+          m.buckets[idx] += count;
+        }
+        break;
+      default:
+        break;
     }
   }
   devices_.insert(o.devices_.begin(), o.devices_.end());
@@ -184,9 +167,8 @@ void HealthStore::MergeFrom(const HealthStore& o) {
 }
 
 const HealthStore::Metric* HealthStore::Find(std::string_view name) const {
-  const Shard& shard = ShardOf(name);
-  auto it = shard.metrics.find(std::string(name));
-  return it == shard.metrics.end() ? nullptr : &it->second;
+  auto it = metrics_.find(name);
+  return it == metrics_.end() ? nullptr : &it->second;
 }
 
 bool HealthStore::CounterValue(std::string_view name, uint64_t* out) const {
@@ -210,28 +192,8 @@ bool HealthStore::HistQuantile(std::string_view name, double percentile, double*
   return true;
 }
 
-std::vector<std::pair<const std::string*, const HealthStore::Metric*>>
-HealthStore::SortedMetrics() const {
-  std::vector<std::pair<const std::string*, const Metric*>> out;
-  out.reserve(metric_count());
-  for (const Shard& s : shards_) {
-    for (const auto& [name, m] : s.metrics) {
-      out.emplace_back(&name, &m);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  return out;
-}
-
 void HealthStore::RestoreMetric(const std::string& name, Metric m) {
-  ShardOf(name).metrics.insert_or_assign(name, std::move(m));
-}
-
-size_t HealthStore::metric_count() const {
-  size_t n = 0;
-  for (const Shard& s : shards_) n += s.metrics.size();
-  return n;
+  metrics_.insert_or_assign(name, std::move(m));
 }
 
 std::string HealthStore::RenderText() const {
@@ -249,27 +211,27 @@ std::string HealthStore::RenderText() const {
   out += "# TYPE mopeye_crowd_health_conflicts counter\nmopeye_crowd_health_conflicts ";
   AppendU64(&out, conflicts_);
   out += "\n";
-  for (const auto& [name, m] : SortedMetrics()) {
-    std::string crowd = CrowdMetricName(*name);
-    out += "# HELP " + crowd + " crowd rollup of device metric " + *name + "\n";
-    switch (m->kind) {
+  for (const auto& [name, m] : metrics_) {
+    std::string crowd = CrowdMetricName(name);
+    out += "# HELP " + crowd + " crowd rollup of device metric " + name + "\n";
+    switch (m.kind) {
       case 0:
         out += "# TYPE " + crowd + " counter\n" + crowd + " ";
-        AppendU64(&out, m->counter);
+        AppendU64(&out, m.counter);
         out += "\n";
         break;
       case 1:
         out += "# TYPE " + crowd + " gauge\n" + crowd + " ";
-        AppendU64(&out, m->GaugeValue());
+        AppendU64(&out, m.GaugeValue());
         out += "\n" + crowd + "_devices ";
-        AppendU64(&out, m->gauges.size());
+        AppendU64(&out, m.gauges.size());
         out += "\n";
         break;
       case 2: {
         out += "# TYPE " + crowd + " summary\n";
-        uint64_t count = m->HistCount();
+        uint64_t count = m.HistCount();
         if (count > 0) {
-          moputil::LogQuantile sketch = RebuildSketch(*m);
+          moputil::LogQuantile sketch = RebuildSketch(m);
           for (double q : {0.5, 0.95, 0.99}) {
             out += crowd + "{quantile=\"";
             AppendDouble(&out, q);
@@ -279,7 +241,7 @@ std::string HealthStore::RenderText() const {
           }
         }
         out += crowd + "_sum ";
-        AppendDouble(&out, m->sum);
+        AppendDouble(&out, m.sum);
         out += "\n" + crowd + "_count ";
         AppendU64(&out, count);
         out += "\n";

@@ -8,18 +8,18 @@
 // in-process — which fleet_e2e asserts in CI.
 //
 // Value-semantic and single-threaded (collector event-loop owned; copied
-// whole by ExportState/snapshots), sharded by metric-name hash so fold cost
-// stays flat as the allowlist grows.
+// whole by ExportState/snapshots). It holds the few metrics the device
+// allowlist exports in one name-keyed map.
 #ifndef MOPEYE_COLLECTOR_HEALTH_STORE_H_
 #define MOPEYE_COLLECTOR_HEALTH_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "collector/wire.h"
 #include "util/stats.h"
@@ -59,8 +59,6 @@ class HealthStore {
     bool operator==(const Metric&) const = default;
   };
 
-  explicit HealthStore(size_t shards = 16);
-
   // Folds one deduplicated telemetry frame. Entries whose kind/geometry
   // conflict with the existing metric are dropped and counted (a device
   // shipping a different metric shape than the crowd consensus must not
@@ -81,14 +79,13 @@ class HealthStore {
   // log-bucket sketch; false when absent or empty.
   bool HistQuantile(std::string_view name, double percentile, double* out) const;
 
-  // All metrics, name-sorted (canonical across shard counts). Pointers are
-  // valid until the next mutation.
-  std::vector<std::pair<const std::string*, const Metric*>> SortedMetrics() const;
+  // All metrics, name-sorted.
+  const std::map<std::string, Metric, std::less<>>& metrics() const { return metrics_; }
   // Snapshot restore: installs a fully-formed metric under `name`.
   void RestoreMetric(const std::string& name, Metric m);
   void NoteDevice(uint32_t device_id) { devices_.insert(device_id); }
 
-  size_t metric_count() const;
+  size_t metric_count() const { return metrics_.size(); }
   size_t device_count() const { return devices_.size(); }
   const std::set<uint32_t>& devices() const { return devices_; }
   uint64_t folds() const { return folds_; }
@@ -97,7 +94,6 @@ class HealthStore {
     folds_ = folds;
     conflicts_ = conflicts;
   }
-  size_t shard_count() const { return shards_.size(); }
 
   // Prometheus-style exposition of the crowd rollups. Device metric
   // "mopeye_foo" surfaces as "mopeye_crowd_foo" (histograms as summaries),
@@ -107,16 +103,7 @@ class HealthStore {
   bool operator==(const HealthStore&) const = default;
 
  private:
-  struct Shard {
-    std::map<std::string, Metric> metrics;
-
-    bool operator==(const Shard&) const = default;
-  };
-
-  Shard& ShardOf(std::string_view name);
-  const Shard& ShardOf(std::string_view name) const;
-
-  std::vector<Shard> shards_;
+  std::map<std::string, Metric, std::less<>> metrics_;
   std::set<uint32_t> devices_;  // every device that contributed health
   uint64_t folds_ = 0;          // telemetry frames folded
   uint64_t conflicts_ = 0;      // entries dropped on shape mismatch

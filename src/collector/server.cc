@@ -104,7 +104,7 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
 };
 
 CollectorServer::CollectorServer(CollectorOptions opts)
-    : opts_(opts), store_(opts.shards), health_(opts.shards) {}
+    : opts_(opts), store_(opts.shards) {}
 
 CollectorServer::~CollectorServer() = default;
 

@@ -52,8 +52,6 @@ class TunWriter {
 
   void Stop();
 
-  moputil::SimDuration writer_busy_total() const { return lane_.busy_time() + spin_busy_; }
-
   const moputil::Samples& producer_overhead_ms() const { return producer_overhead_ms_; }
   // Delay of each actual write() to the tunnel (the TunWriter thread's cost
   // under queueWrite; equal to the producer overhead under directWrite).
@@ -64,7 +62,7 @@ class TunWriter {
   // bursts into single writev-style drains).
   size_t write_bursts() const { return write_bursts_; }
   size_t queue_high_water() const { return queue_high_water_; }
-  moputil::SimDuration writer_busy_time() const { return writer_busy_total(); }
+  moputil::SimDuration writer_busy_time() const { return lane_.busy_time() + spin_busy_; }
   // Times the writer actually parked in wait() (newPut should keep this low).
   int waits() const { return waits_; }
   // Times a producer paid a notify because the writer was parked.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <unordered_set>
 #include <utility>
@@ -46,17 +47,27 @@ moputil::Status Corrupt(const char* what) {
   return moputil::InvalidArgument(moputil::StrFormat("corrupt snapshot: %s", what));
 }
 
-// Smallest possible serialized entry; bounds entry_count before the loop so
-// a forged count cannot make the decoder reserve unbounded memory.
-constexpr size_t kMinEntryBytes = 8 + (8 + 4 * 8) + (8 + 8 + 4 + 4);
-// What versions 1 and 2 add per entry: a merged flag byte and two P²
-// sketches of u64 count + 15 f64 markers each, which the decoder skips.
+// Smallest possible serialized entry (key, sum, empty log sketch); bounds
+// entry_count before the loop so a forged count cannot make the decoder
+// reserve unbounded memory.
+constexpr size_t kMinEntryBytes = 8 + 8 + (8 + 8 + 4 + 4);
+// Versions 1 to 3 carry { u64 count, f64 mean, m2, min, max } in place of the
+// sum. Versions 1 and 2 also carry a merged flag byte and two P² sketches of
+// u64 count + 15 f64 markers each, which the decoder skips.
+constexpr size_t kLegacyMomentsBytes = 5 * 8;
 constexpr size_t kLegacyP2Bytes = 2 * (8 + 15 * 8);
-constexpr size_t kMinLegacyEntryBytes = kMinEntryBytes + 1 + kLegacyP2Bytes;
 
-// Wildcard key components of the per-app and per-ISP rollup entries older
-// encoders (every version, 3 included) wrote beside the fine keys. The
-// queries merge fine keys instead, so the decoder drops these entries.
+size_t MinEntryBytes(uint8_t version) {
+  if (version >= 4) {
+    return kMinEntryBytes;
+  }
+  size_t v3 = kMinEntryBytes - 8 + kLegacyMomentsBytes;
+  return version == 3 ? v3 : v3 + 1 + kLegacyP2Bytes;
+}
+
+// Wildcard key components of the per-app and per-ISP rollup entries
+// encoders before version 4 wrote beside the fine keys. The queries merge
+// fine keys instead, so the decoder drops these entries.
 constexpr uint16_t kLegacyAnyId = 0xfffe;
 constexpr uint8_t kLegacyAnyByte = 0xfe;
 
@@ -107,12 +118,7 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   mopcollect::PutU32(&payload, static_cast<uint32_t>(entries.size()));
   for (const auto& [key, entry] : entries) {
     mopcollect::PutU64(&payload, key.Packed());
-    auto stats = entry->stats.state();
-    mopcollect::PutU64(&payload, stats.count);
-    mopcollect::PutF64(&payload, stats.mean);
-    mopcollect::PutF64(&payload, stats.m2);
-    mopcollect::PutF64(&payload, stats.min);
-    mopcollect::PutF64(&payload, stats.max);
+    mopcollect::PutF64(&payload, entry->sum_ms);
     auto log = entry->quantiles.state();
     mopcollect::PutU64(&payload, log.total);
     mopcollect::PutU64(&payload, log.zero_or_less);
@@ -137,34 +143,33 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   mopcollect::PutU64(&payload, state.telemetry_rejected);
   mopcollect::PutU64(&payload, state.frames_skipped);
 
-  // HealthStore contents, name-sorted (SortedMetrics) and with std::map /
-  // std::set iteration orders inside each metric — canonical bytes for equal
-  // states, independent of shard count.
-  auto health_metrics = state.health.SortedMetrics();
+  // HealthStore contents, name-sorted and with std::map iteration orders
+  // inside each metric — canonical bytes for equal states.
+  const auto& health_metrics = state.health.metrics();
   mopcollect::PutU32(&payload, static_cast<uint32_t>(health_metrics.size()));
   for (const auto& [name, metric] : health_metrics) {
-    mopcollect::PutU16(&payload, static_cast<uint16_t>(name->size()));
-    payload.insert(payload.end(), name->begin(), name->end());
-    mopcollect::PutU8(&payload, metric->kind);
-    mopcollect::PutU8(&payload, metric->merge);
-    switch (metric->kind) {
+    mopcollect::PutU16(&payload, static_cast<uint16_t>(name.size()));
+    payload.insert(payload.end(), name.begin(), name.end());
+    mopcollect::PutU8(&payload, metric.kind);
+    mopcollect::PutU8(&payload, metric.merge);
+    switch (metric.kind) {
       case 0:
-        mopcollect::PutU64(&payload, metric->counter);
+        mopcollect::PutU64(&payload, metric.counter);
         break;
       case 1:
-        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->gauges.size()));
-        for (const auto& [device, cell] : metric->gauges) {
+        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric.gauges.size()));
+        for (const auto& [device, cell] : metric.gauges) {
           mopcollect::PutU32(&payload, device);
           mopcollect::PutU32(&payload, cell.seq);
           mopcollect::PutU64(&payload, cell.value);
         }
         break;
       default:
-        mopcollect::PutF64(&payload, metric->rel_err);
-        mopcollect::PutF64(&payload, metric->sum);
-        mopcollect::PutU64(&payload, metric->zero_or_less);
-        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->buckets.size()));
-        for (const auto& [idx, count] : metric->buckets) {
+        mopcollect::PutF64(&payload, metric.rel_err);
+        mopcollect::PutF64(&payload, metric.sum);
+        mopcollect::PutU64(&payload, metric.zero_or_less);
+        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric.buckets.size()));
+        for (const auto& [idx, count] : metric.buckets) {
           mopcollect::PutU32(&payload, std::bit_cast<uint32_t>(idx));
           mopcollect::PutU64(&payload, count);
         }
@@ -275,6 +280,7 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
   // Versions 1 and 2 carry the merged flags and P² markers described in
   // snapshot.h; they are checked or skipped and never restored.
   const bool legacy = version < 3;
+  const bool moments = version < 4;
   uint32_t shard_count = 0;
   uint8_t merged = 0;
   uint64_t samples_folded = 0;
@@ -289,7 +295,7 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
   if (merged > 1) {
     return Corrupt("bad merged flag");
   }
-  if (entry_count > r.remaining() / (legacy ? kMinLegacyEntryBytes : kMinEntryBytes)) {
+  if (entry_count > r.remaining() / MinEntryBytes(version)) {
     return Corrupt("entry count exceeds payload");
   }
 
@@ -309,6 +315,9 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     }
     const AggregateKey key = AggregateKey::Unpack(packed);
     const bool rollup = IsLegacyRollup(key);
+    if (rollup && !moments) {
+      return Corrupt("legacy rollup key in a version-4 file");
+    }
     if (rollup ? !legacy_rollups.insert(packed).second : state.store.Find(key) != nullptr) {
       return Corrupt("duplicate entry key");
     }
@@ -320,12 +329,23 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     }
     AggregateEntry& entry = rollup ? rollup_entry : state.store.MutableEntry(key);
 
-    moputil::OnlineStats::State stats;
-    if (!r.ReadU64(&stats.count) || !r.ReadF64(&stats.mean) || !r.ReadF64(&stats.m2) ||
-        !r.ReadF64(&stats.min) || !r.ReadF64(&stats.max)) {
-      return Corrupt("truncated entry stats");
+    uint64_t moment_count = 0;  // moplint-allow: raw-counter (decoded field)
+    if (moments) {
+      // Versions 1 to 3: the sum is mean x count; m2, min and max are
+      // skipped.
+      double mean = 0;
+      if (!r.ReadU64(&moment_count) || !r.ReadF64(&mean) || !r.Skip(3 * 8)) {
+        return Corrupt("truncated entry moments");
+      }
+      entry.sum_ms = mean * static_cast<double>(moment_count);
+    } else if (!r.ReadF64(&entry.sum_ms)) {
+      return Corrupt("truncated entry sum");
     }
-    entry.stats.Restore(stats);
+    // Every fold adds a finite, non-negative RTT (the wire decoder admits
+    // no other), so no fold produces any other sum.
+    if (!std::isfinite(entry.sum_ms) || entry.sum_ms < 0) {
+      return Corrupt("entry sum negative or not finite");
+    }
 
     if (legacy && !r.Skip(kLegacyP2Bytes)) {
       return Corrupt("truncated entry P2 markers");
@@ -353,24 +373,21 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
       }
       bucket_sum += c;
     }
-    // Internal consistency: the sketches were fed the same stream.
-    if (bucket_sum + log.zero_or_less != log.total || log.total != stats.count) {
+    // Internal consistency: the sketch's buckets add up to its total, and in
+    // versions 1 to 3 the moments were fed the same stream.
+    if (bucket_sum + log.zero_or_less != log.total || (moments && log.total != moment_count)) {
       return Corrupt("entry sketch counts disagree");
     }
     entry.quantiles.Restore(std::move(log));
     if (rollup) {
       // A legacy rollup's folds were counted in samples_folded too.
-      if (stats.count > samples_folded) {
+      if (entry.count() > samples_folded) {
         return Corrupt("rollup counts exceed samples_folded");
       }
-      samples_folded -= stats.count;
+      samples_folded -= entry.count();
     }
   }
   state.store.set_samples_folded(samples_folded);
-  // Health shard geometry follows the aggregate store's (both come from the
-  // collector's opts.shards), so a decoded state deep-equals the exported one
-  // and ImportState keeps the server's sharding invariant.
-  state.health = mopcollect::HealthStore(shard_count);
 
   if (version == 1) {
     // A pre-health snapshot: its payload ends here. The health sections stay

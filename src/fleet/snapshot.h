@@ -1,9 +1,9 @@
 // Collector snapshot persistence.
 //
 // A snapshot is everything a collector must not lose across a restart: the
-// aggregate store (per-key counts, moments, log buckets), the global
-// interners its keys index into, the ingest counters, the (device_id,
-// batch_seq) duplicate-delivery windows, and the crowd-health store. The
+// aggregate store (per-key sums and log buckets), the global interners its
+// keys index into, the ingest counters, the (device_id, batch_seq)
+// duplicate-delivery windows, and the crowd-health store. The
 // dedup windows are what make restart recovery fold-exact under
 // at-least-once upload: a batch whose ack was lost in the crash is re-sent by
 // the device, and the restored dedup window recognizes it instead of
@@ -19,8 +19,7 @@
 //                u32 device_id, u32 seq_count, seq_count x u32 (oldest first)
 //              u32 shard_count, u64 samples_folded,
 //              u32 entry_count, then per entry (sorted by packed key):
-//                u64 key,
-//                stats  { u64 count, f64 mean, m2, min, max }
+//                u64 key, f64 sum,
 //                log    { u64 total, u64 zero_or_less, i32 lo_index,
 //                         u32 n, n x u32 buckets }
 //              telemetry dedup windows (same shape as the batch windows)
@@ -34,28 +33,33 @@
 //              u32 device_count, device_count x u32 (sorted)
 //              u64 health_folds, u64 health_conflicts
 //
-// Versions 1 and 2 still load. Both also carry a u8 merged flag after
+// Versions 1 to 3 still load. In place of the sum, each of their entries
+// carries moments { u64 count, f64 mean, m2, min, max }: the decoder checks
+// the count against the log total, restores the sum as mean x count, and
+// drops m2, min and max. Versions 1 and 2 also carry a u8 merged flag after
 // shard_count and after each entry key, and two P² sketches per entry
-// between stats and log (2 x { u64 count, 15 x f64 markers }); the decoder
-// checks each flag is 0 or 1 and skips the markers. A version-1 payload ends
-// after the entries: it has no telemetry or health sections.
+// between the moments and log (2 x { u64 count, 15 x f64 markers }); the
+// decoder checks each flag is 0 or 1 and skips the markers. A version-1
+// payload ends after the entries: it has no telemetry or health sections.
 //
 // Entries are the store's fine (app, isp, country, net_type, kind) keys.
-// Older encoders (every version, 3 included) also wrote per-app and per-ISP
-// rollup entries beside them, marked by wildcard key components (constants
-// in snapshot.cc), and counted the rollups' folds in samples_folded. The
+// Encoders of versions 1 to 3 also wrote per-app and per-ISP rollup entries
+// beside them, marked by wildcard key components (constants in
+// snapshot.cc), and counted the rollups' folds in samples_folded. The
 // decoder checks those entries like any other, then drops them and subtracts
 // their counts from samples_folded, so an old file loads into the state a
-// fresh ingest of its records builds.
+// fresh ingest of its records builds. A version-4 file holding such a key is
+// corrupt.
 //
 // Loading is strictly bounds-checked: bad magic/version/CRC, any truncation,
 // table or bucket counts beyond their caps, bucket indexes outside the span
 // a sketch's input clamps allow, entry keys no record could carry (an id
-// past its string table, a kind or net type outside the wire's enums), or
-// internal inconsistencies (entry count vs log-bucket totals, rollup counts
-// beyond samples_folded) yield an error Status and no partial state. Writes
-// go to `<path>.tmp` and rename into place, so a crash during a write leaves
-// the previous snapshot intact.
+// past its string table, a kind or net type outside the wire's enums), an
+// entry sum no fold could produce (negative or not finite), or internal
+// inconsistencies (log buckets vs log total, moment count vs log total,
+// rollup counts beyond samples_folded) yield an error Status and no partial
+// state. Writes go to `<path>.tmp` and rename into place, so a crash during
+// a write leaves the previous snapshot intact.
 #ifndef MOPEYE_FLEET_SNAPSHOT_H_
 #define MOPEYE_FLEET_SNAPSHOT_H_
 
@@ -73,8 +77,8 @@ namespace mopfleet {
 
 constexpr uint16_t kSnapshotMagic = 0x534d;  // "MS"
 // The version EncodeSnapshot writes. DecodeSnapshot reads it and versions 1
-// and 2 (see the format above).
-constexpr uint8_t kSnapshotVersion = 3;
+// to 3 (see the format above).
+constexpr uint8_t kSnapshotVersion = 4;
 // A collector's aggregate state is O(keys), a few MiB at crowd scale; a
 // length prefix beyond this is a corrupt or hostile file.
 constexpr size_t kMaxSnapshotPayload = 256u * 1024 * 1024;

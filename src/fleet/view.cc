@@ -24,7 +24,7 @@ void FleetView::Refresh() {
   apps_ = Interner();
   isps_ = Interner();
   countries_ = Interner();
-  health_ = mopcollect::HealthStore(shards_);
+  health_ = mopcollect::HealthStore();
   records_ingested_ = 0;
   for (const auto* server : live_) {
     MergeSource(server->store(), server->apps(), server->isps(), server->countries());

@@ -5,7 +5,7 @@
 // (e.g. decoded snapshot files). Refresh() rebuilds one merged
 // AggregateStore: per-collector interner ids are remapped onto the view's
 // own id spaces and entries with the same remapped key are folded together —
-// counts and moments combine exactly and the log-bucket sketches merge by
+// sums add and the log-bucket sketches (whose totals are the counts) merge by
 // bucket addition, so any merged quantile carries the same 2% guarantee as a
 // single collector's. The per-app and per-ISP queries then merge the fine
 // keys of each row, exactly as a single collector's queries do.

@@ -9,25 +9,7 @@ namespace mopnet {
 
 Selector::Selector(mopsim::EventLoop* loop) : loop_(loop) { MOP_CHECK(loop != nullptr); }
 
-void Selector::AddChannel(std::shared_ptr<SocketChannel> ch) {
-  channels_.push_back(ch);
-  // Opportunistically compact dead entries.
-  if (channels_.size() % 64 == 0) {
-    channels_.erase(std::remove_if(channels_.begin(), channels_.end(),
-                                   [](const std::weak_ptr<SocketChannel>& w) {
-                                     return w.expired();
-                                   }),
-                    channels_.end());
-  }
-}
-
 void Selector::RemoveChannel(SocketChannel* ch) {
-  channels_.erase(std::remove_if(channels_.begin(), channels_.end(),
-                                 [ch](const std::weak_ptr<SocketChannel>& w) {
-                                   auto s = w.lock();
-                                   return !s || s.get() == ch;
-                                 }),
-                  channels_.end());
   // Cancelled-key semantics (java.nio): a deregistered channel must not
   // deliver events that were queued before the deregister.
   ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
@@ -42,12 +24,6 @@ void Selector::RemoveChannel(SocketChannel* ch) {
 }
 
 std::vector<PendingEvent> Selector::ExtractPending(SocketChannel* ch) {
-  channels_.erase(std::remove_if(channels_.begin(), channels_.end(),
-                                 [ch](const std::weak_ptr<SocketChannel>& w) {
-                                   auto s = w.lock();
-                                   return !s || s.get() == ch;
-                                 }),
-                  channels_.end());
   std::vector<PendingEvent> extracted;
   auto keep = ready_.begin();
   for (auto it = ready_.begin(); it != ready_.end(); ++it) {
@@ -100,7 +76,6 @@ void Selector::MaybeWake() {
     return;
   }
   wake_scheduled_ = true;
-  ++wakeups_;
   loop_->Post([this] {
     wake_scheduled_ = false;
     if (on_wakeup) {

@@ -46,13 +46,14 @@ class Selector {
   // drained do not retrigger, matching select()-loop batching.
   std::function<void()> on_wakeup;
 
-  void AddChannel(std::shared_ptr<SocketChannel> ch);
+  // Deregisters `ch`: drops its queued events (and those of channels that
+  // already died).
   void RemoveChannel(SocketChannel* ch);
 
-  // Removes `ch` like RemoveChannel, but returns its queued events (in
-  // order) instead of dropping them — the deliberate cross-lane migration
-  // path (work stealing). The new owner re-enqueues them so nothing in
-  // flight is lost across the re-homing; plain wakeups stay here.
+  // Removes `ch`'s queued events and returns them (in order) instead of
+  // dropping them — the deliberate cross-lane migration path (work
+  // stealing). The new owner re-enqueues them so nothing in flight is lost
+  // across the re-homing; plain wakeups stay here.
   std::vector<PendingEvent> ExtractPending(SocketChannel* ch);
 
   // Queues a channel event and wakes the owner if needed.
@@ -70,17 +71,13 @@ class Selector {
   std::vector<ReadyEvent> TakeReady();
 
   size_t pending() const { return ready_.size(); }
-  // Total wakeups delivered (CPU accounting).
-  uint64_t wakeups() const { return wakeups_; }
 
  private:
   void MaybeWake();
 
   mopsim::EventLoop* loop_;
   std::deque<PendingEvent> ready_;
-  std::vector<std::weak_ptr<SocketChannel>> channels_;
   bool wake_scheduled_ = false;
-  uint64_t wakeups_ = 0;
 };
 
 }  // namespace mopnet

@@ -387,7 +387,6 @@ void SocketChannel::RegisterWith(Selector* selector, uint32_t interest) {
       << "channel re-registered with a different selector (cross-lane migration)";
   selector_ = selector;
   interest_ = interest;
-  selector->AddChannel(shared_from_this());
   // Level-trigger semantics on registration: data that arrived before the
   // register() call must still produce a read event.
   if ((interest_ & kOpRead) && available() > 0) {
@@ -407,7 +406,6 @@ void SocketChannel::MigrateTo(Selector* selector) {
     in_flight = selector_->ExtractPending(this);
   }
   selector_ = selector;
-  selector->AddChannel(shared_from_this());
   for (const PendingEvent& p : in_flight) {
     selector->Enqueue(shared_from_this(), p.type);
   }

@@ -10,54 +10,6 @@
 
 namespace moputil {
 
-void OnlineStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::MergeFrom(const OnlineStats& o) {
-  if (o.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = o;
-    return;
-  }
-  double delta = o.mean_ - mean_;
-  uint64_t n = count_ + o.count_;
-  mean_ += delta * static_cast<double>(o.count_) / static_cast<double>(n);
-  m2_ += o.m2_ + delta * delta * static_cast<double>(count_) *
-                     static_cast<double>(o.count_) / static_cast<double>(n);
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-  count_ = n;
-}
-
-void OnlineStats::Restore(const State& s) {
-  count_ = s.count;
-  mean_ = s.mean;
-  m2_ = s.m2;
-  min_ = s.min;
-  max_ = s.max;
-}
-
-double OnlineStats::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 LogQuantile::LogQuantile(double rel_err) {
   assert(rel_err > 0.0 && rel_err < 1.0);
   double gamma = (1.0 + rel_err) / (1.0 - rel_err);

@@ -1,6 +1,7 @@
-// Summary statistics used throughout the benches and the crowd analysis:
-// online mean/variance, percentile/median over samples, CDF evaluation, and
-// fixed-bucket histograms (the paper's Table 1 delay buckets).
+// Summary statistics used throughout the benches and the crowd analysis: a
+// mergeable log-bucket quantile sketch, percentile/median over samples, CDF
+// evaluation, and fixed-bucket histograms (the paper's Table 1 delay
+// buckets).
 #ifndef MOPEYE_UTIL_STATS_H_
 #define MOPEYE_UTIL_STATS_H_
 
@@ -11,41 +12,6 @@
 #include <vector>
 
 namespace moputil {
-
-// Streaming mean / variance / min / max (Welford).
-class OnlineStats {
- public:
-  // Raw accumulator state, exposed for persistence (collector snapshots) and
-  // distributed merging. Restore() trusts the caller; garbage in, garbage out.
-  struct State {
-    uint64_t count = 0;
-    double mean = 0;
-    double m2 = 0;
-    double min = 0;
-    double max = 0;
-  };
-
-  void Add(double x);
-  // Folds another accumulator in (Chan et al. parallel combine): the result
-  // is as if both streams had been Add()ed into one instance.
-  void MergeFrom(const OnlineStats& o);
-  State state() const { return {count_, mean_, m2_, min_, max_}; }
-  void Restore(const State& s);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-
- private:
-  uint64_t count_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 // LogQuantile input clamps, shared with the telemetry histograms so both
 // sketch the exact same bucket geometry: values at or below the min collapse

@@ -473,7 +473,7 @@ TEST(AggregateStore, ShardedEntriesMatchExactStats) {
     EXPECT_EQ(entry->count(), 10000u);
     EXPECT_NEAR(entry->median_ms(), d.exact.Median(), 0.05 * d.exact.Median());
     EXPECT_NEAR(entry->p95_ms(), d.exact.Percentile(95), 0.05 * d.exact.Percentile(95));
-    EXPECT_NEAR(entry->stats.mean(), d.exact.Mean(), 0.05 * d.exact.Mean());
+    EXPECT_NEAR(entry->mean_ms(), d.exact.Mean(), 0.05 * d.exact.Mean());
   }
   EXPECT_EQ(store.Find({9, 9, 9, 0, 0}), nullptr);
   EXPECT_GT(store.ApproxMemoryBytes(), 0u);

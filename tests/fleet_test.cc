@@ -1,10 +1,10 @@
 // Fleet subsystem tests: device->shard routing, fold-once ingest and
 // query-time merging against generated records, snapshot codec durability
 // (round-trip equality, truncation/corruption rejection, golden version-1
-// and version-2 files, legacy rollup entries dropped on load, hostile bucket
-// indexes and entry keys, atomic file replacement), restart recovery with
-// dedup preserved, uploader failover with possibly-delivered pinning, and
-// the merged FleetView query plane.
+// to version-3 files, legacy rollup entries dropped on load, hostile bucket
+// indexes, entry keys and sums, atomic file replacement), restart recovery
+// with dedup preserved, uploader failover with possibly-delivered pinning,
+// and the merged FleetView query plane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -208,7 +208,7 @@ TEST(GeneratedRecords, QueryRowsEqualOneEntryFedTheirGroup) {
     EXPECT_EQ(row.count, want.count()) << row.app;
     EXPECT_DOUBLE_EQ(row.median_ms, want.median_ms()) << row.app;
     EXPECT_DOUBLE_EQ(row.p95_ms, want.p95_ms()) << row.app;
-    EXPECT_NEAR(row.mean_ms, want.stats.mean(), 1e-9) << row.app;
+    EXPECT_NEAR(row.mean_ms, want.mean_ms(), 1e-9) << row.app;
   }
   EXPECT_TRUE(std::is_sorted(apps.begin(), apps.end(), [](const auto& a, const auto& b) {
     return a.count != b.count ? a.count > b.count : a.app < b.app;
@@ -273,10 +273,7 @@ TEST(Snapshot, RoundTripPreservesEverything) {
     EXPECT_EQ(restored->count(), entry->count());
     EXPECT_DOUBLE_EQ(restored->median_ms(), entry->median_ms());
     EXPECT_DOUBLE_EQ(restored->p95_ms(), entry->p95_ms());
-    EXPECT_DOUBLE_EQ(restored->stats.mean(), entry->stats.mean());
-    EXPECT_DOUBLE_EQ(restored->stats.variance(), entry->stats.variance());
-    EXPECT_DOUBLE_EQ(restored->stats.min(), entry->stats.min());
-    EXPECT_DOUBLE_EQ(restored->stats.max(), entry->stats.max());
+    EXPECT_EQ(restored->sum_ms, entry->sum_ms);
   }
 
   // Canonical bytes: re-encoding the decoded state reproduces the file.
@@ -392,11 +389,19 @@ TEST(Snapshot, RoundTripPreservesHealthAndTelemetryDedup) {
 // version-2 image adds one telemetry frame (device 7, seq 43) carrying a
 // counter, a gauge and a histogram. The values below are what that encoder's
 // state held.
+//
+// tests/data/snapshot_v3.bin was written by the version-3 encoder from the
+// version-2 file's decoded state, with its six rollup entries restored (each
+// fine entry MergeFrom()ed into its per-app and per-ISP wildcard key, as the
+// encoders before version 4 kept them) and samples_folded set back to 12.
 
 std::vector<uint8_t> ReadFixture(const std::string& name) {
   std::ifstream in(std::string(MOPEYE_TEST_DATA_DIR) + "/" + name, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
+
+constexpr const char* kGoldenFiles[] = {"snapshot_v1.bin", "snapshot_v2.bin",
+                                        "snapshot_v3.bin"};
 
 uint32_t U32At(const std::vector<uint8_t>& image, size_t at) {
   uint32_t v = 0;
@@ -421,17 +426,16 @@ void PatchU32(std::vector<uint8_t>* image, size_t at, uint32_t v) {
 struct GoldenEntry {
   mopcollect::AggregateKey key;
   uint64_t count;
-  double mean, m2, min, max, median, p95;
+  double mean, median, p95;
 };
 
 void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
   // The fine entries. The files also hold six per-app and per-ISP rollup
   // entries, which the decoder drops along with their 8 folds.
   const GoldenEntry kEntries[] = {
-      {{0, 0, 0, 0, 0}, 2, 100.375, 810.03125, 80.25, 120.5, 99.532492640417175,
-       117.21552074646188},
-      {{1, 0, 0, 3, 0}, 1, 45, 0, 45, 45, 45.627447559716344, 45.627447559716344},
-      {{2, 0, 0, 3, 1}, 1, 30, 0, 30, 30, 30.583361201023472, 30.583361201023472},
+      {{0, 0, 0, 0, 0}, 2, 100.375, 99.532492640417175, 117.21552074646188},
+      {{1, 0, 0, 3, 0}, 1, 45, 45.627447559716344, 45.627447559716344},
+      {{2, 0, 0, 3, 1}, 1, 30, 30.583361201023472, 30.583361201023472},
   };
   EXPECT_EQ(got.apps.names(), (std::vector<std::string>{"Whatsapp", "Youtube", "Chrome"}));
   EXPECT_EQ(got.isps.names(), std::vector<std::string>{"JioNet"});
@@ -449,13 +453,8 @@ void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
   for (const GoldenEntry& want : kEntries) {
     const auto* entry = got.store.Find(want.key);
     ASSERT_NE(entry, nullptr) << want.key.Packed();
-    auto stats = entry->stats.state();
-    EXPECT_EQ(stats.count, want.count);
-    EXPECT_EQ(entry->quantiles.count(), want.count);
-    EXPECT_DOUBLE_EQ(stats.mean, want.mean);
-    EXPECT_DOUBLE_EQ(stats.m2, want.m2);
-    EXPECT_DOUBLE_EQ(stats.min, want.min);
-    EXPECT_DOUBLE_EQ(stats.max, want.max);
+    EXPECT_EQ(entry->count(), want.count);
+    EXPECT_EQ(entry->mean_ms(), want.mean);
     EXPECT_DOUBLE_EQ(entry->median_ms(), want.median);
     EXPECT_DOUBLE_EQ(entry->p95_ms(), want.p95);
   }
@@ -494,17 +493,12 @@ TEST(Snapshot, GoldenVersion1DecodesToRecordedValues) {
   // A version-1 collector had no health state: it restores empty.
   EXPECT_TRUE(decoded.value().seen_telemetry.empty());
   EXPECT_EQ(decoded.value().telemetry_frames, 0u);
-  EXPECT_EQ(decoded.value().health, mopcollect::HealthStore(4));
+  EXPECT_EQ(decoded.value().health, mopcollect::HealthStore());
 }
 
-TEST(Snapshot, GoldenVersion2DecodesToRecordedValues) {
-  auto v2 = ReadFixture("snapshot_v2.bin");
-  ASSERT_EQ(v2.size(), 3545u);
-  EXPECT_EQ(v2[2], 2u);
-  auto decoded = mopfleet::DecodeSnapshot(v2);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const auto& got = decoded.value();
-  ExpectGoldenAggregates(got);
+// The telemetry state of the version-2 image (and of the version-3 image
+// written from it).
+void ExpectGoldenHealth(const mopcollect::CollectorState& got) {
   EXPECT_EQ(got.seen_telemetry,
             (std::vector<std::pair<uint32_t, std::vector<uint32_t>>>{{7, {43}}}));
   EXPECT_EQ(got.telemetry_frames, 1u);
@@ -531,8 +525,28 @@ TEST(Snapshot, GoldenVersion2DecodesToRecordedValues) {
   EXPECT_EQ(health.conflicts(), 0u);
 }
 
+TEST(Snapshot, GoldenVersion2DecodesToRecordedValues) {
+  auto v2 = ReadFixture("snapshot_v2.bin");
+  ASSERT_EQ(v2.size(), 3545u);
+  EXPECT_EQ(v2[2], 2u);
+  auto decoded = mopfleet::DecodeSnapshot(v2);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectGoldenAggregates(decoded.value());
+  ExpectGoldenHealth(decoded.value());
+}
+
+TEST(Snapshot, GoldenVersion3DecodesToRecordedValues) {
+  auto v3 = ReadFixture("snapshot_v3.bin");
+  ASSERT_EQ(v3.size(), 1231u);
+  EXPECT_EQ(v3[2], 3u);
+  auto decoded = mopfleet::DecodeSnapshot(v3);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectGoldenAggregates(decoded.value());
+  ExpectGoldenHealth(decoded.value());
+}
+
 TEST(Snapshot, GoldenFilesRejectEveryTruncationAndATrailingByte) {
-  for (const char* name : {"snapshot_v1.bin", "snapshot_v2.bin"}) {
+  for (const char* name : kGoldenFiles) {
     auto bytes = ReadFixture(name);
     ASSERT_FALSE(bytes.empty()) << name;
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
@@ -552,19 +566,19 @@ TEST(Snapshot, GoldenFilesRejectEveryTruncationAndATrailingByte) {
 
 // Re-encoding a legacy file writes the current layout, which round-trips
 // byte-identically and restores the same state.
-TEST(Snapshot, GoldenFilesReencodeAsCanonicalVersion3) {
-  for (const char* name : {"snapshot_v1.bin", "snapshot_v2.bin"}) {
+TEST(Snapshot, GoldenFilesReencodeAsTheCurrentVersion) {
+  for (const char* name : kGoldenFiles) {
     auto legacy = mopfleet::DecodeSnapshot(ReadFixture(name));
     ASSERT_TRUE(legacy.ok()) << name << ": " << legacy.status().ToString();
-    auto v3 = mopfleet::EncodeSnapshot(legacy.value());
-    ASSERT_GT(v3.size(), 3u);
-    EXPECT_EQ(v3[2], 3u) << name;
-    auto decoded = mopfleet::DecodeSnapshot(v3);
+    auto current = mopfleet::EncodeSnapshot(legacy.value());
+    ASSERT_GT(current.size(), 3u);
+    EXPECT_EQ(current[2], mopfleet::kSnapshotVersion) << name;
+    auto decoded = mopfleet::DecodeSnapshot(current);
     ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
     ExpectGoldenAggregates(decoded.value());
     EXPECT_EQ(decoded.value().health, legacy.value().health) << name;
     EXPECT_EQ(decoded.value().seen_telemetry, legacy.value().seen_telemetry) << name;
-    EXPECT_EQ(mopfleet::EncodeSnapshot(decoded.value()), v3) << name;
+    EXPECT_EQ(mopfleet::EncodeSnapshot(decoded.value()), current) << name;
   }
 }
 
@@ -578,13 +592,15 @@ TEST(Snapshot, GoldenFilesReencodeAsCanonicalVersion3) {
 TEST(Snapshot, RejectsOutOfRangeBucketIndexesAndEntryKeys) {
   auto v1 = ReadFixture("snapshot_v1.bin");
   auto v2 = ReadFixture("snapshot_v2.bin");
+  auto v3 = ReadFixture("snapshot_v3.bin");
   auto decoded_v2 = mopfleet::DecodeSnapshot(v2);
   ASSERT_TRUE(decoded_v2.ok()) << decoded_v2.status().ToString();
-  auto v3 = mopfleet::EncodeSnapshot(decoded_v2.value());
-  EXPECT_EQ(v3[2], 3u);
+  auto v4 = mopfleet::EncodeSnapshot(decoded_v2.value());
+  EXPECT_EQ(v4[2], 4u);
 
   // The first entry (Whatsapp over Wi-Fi) has lo_index 109. In versions 1
-  // and 2 it sits after the entry's merged flag and P² markers.
+  // to 3 it sits after the entry's 40 moment bytes, in versions 1 and 2
+  // also after its merged flag and P² markers; in version 4 after its sum.
   struct Patch {
     const char* what;
     std::vector<uint8_t> image;
@@ -597,20 +613,28 @@ TEST(Snapshot, RejectsOutOfRangeBucketIndexesAndEntryKeys) {
       {"v2 entry lo_index", v2, 466, 109, 0x40000000},
       {"v3 entry lo_index", v3, 208, 109, 0x40000000},
       {"v3 entry lo_index below the floor", v3, 208, 109, static_cast<uint32_t>(-249)},
+      {"v4 entry lo_index", v4, 176, 109, 0x40000000},
+      {"v4 entry lo_index below the floor", v4, 176, 109, static_cast<uint32_t>(-249)},
       // The health histogram's last bucket index (119) sits 40 bytes before
       // the end, followed by its count (8), the health device section (8),
       // the tallies (16) and the CRC (4).
       {"v2 health bucket", v2, v2.size() - 40, 119, 2147483000},
       {"v3 health bucket", v3, v3.size() - 40, 119, 2147483000},
-      // The same entry's key (0: Whatsapp/JioNet/IN, Wi-Fi, TCP) sits 64
-      // bytes before its lo_index: low word country << 16 | net_type << 8 |
-      // kind, high word app << 16 | isp. The tables hold 3 apps, 1 ISP and 1
+      {"v4 health bucket", v4, v4.size() - 40, 119, 2147483000},
+      // The same entry's key (0: Whatsapp/JioNet/IN, Wi-Fi, TCP) sits at 144
+      // in versions 3 and 4: low word country << 16 | net_type << 8 | kind,
+      // high word app << 16 | isp. The tables hold 3 apps, 1 ISP and 1
       // country.
       {"v3 entry app id past the table", v3, 148, 0, 3u << 16},
       {"v3 entry isp id past the table", v3, 148, 0, 1},
       {"v3 entry country id past the table", v3, 144, 0, 1u << 16},
       {"v3 entry net type past kLte", v3, 144, 0, 4u << 8},
       {"v3 entry kind past kDns", v3, 144, 0, 2},
+      {"v4 entry app id past the table", v4, 148, 0, 3u << 16},
+      {"v4 entry isp id past the table", v4, 148, 0, 1},
+      {"v4 entry country id past the table", v4, 144, 0, 1u << 16},
+      {"v4 entry net type past kLte", v4, 144, 0, 4u << 8},
+      {"v4 entry kind past kDns", v4, 144, 0, 2},
   };
   for (const Patch& p : patches) {
     ASSERT_EQ(U32At(p.image, p.at), p.original) << p.what;
@@ -626,75 +650,89 @@ TEST(Snapshot, RejectsOutOfRangeBucketIndexesAndEntryKeys) {
   auto range = moputil::LogQuantile::LegalIndexRange(mopcollect::AggregateEntry::kRelErr,
                                                      mopfleet::kMaxLogBuckets);
   ASSERT_TRUE(range.has_value());
-  auto edge = v3;
-  PatchU32(&edge, 208, static_cast<uint32_t>(range->hi - 10));
+  auto edge = v4;
+  PatchU32(&edge, 176, static_cast<uint32_t>(range->hi - 10));
   EXPECT_TRUE(mopfleet::DecodeSnapshot(edge).ok());
-  PatchU32(&edge, 208, static_cast<uint32_t>(range->hi - 9));
+  PatchU32(&edge, 176, static_cast<uint32_t>(range->hi - 9));
   EXPECT_FALSE(mopfleet::DecodeSnapshot(edge).ok());
 }
 
-// Encoders before queries merged fine keys also wrote, per fine key, a
-// per-app and a per-ISP rollup entry with wildcard components, and counted
-// their folds in samples_folded. A version-3 image of that shape loads into
-// the state a fresh ingest of its records builds.
-TEST(Snapshot, LegacyRollupEntriesAreDroppedOnLoad) {
-  mopcollect::CollectorServer server({.shards = 8});
-  IngestRandomRecords(&server, /*seed=*/31, /*batches=*/6);
-  const uint64_t records = server.counters().records_ingested;
-  const auto fresh = server.ExportState();
-  ASSERT_EQ(fresh.store.samples_folded(), records);
+// Only a version-1 to version-3 file may hold a wildcard rollup key, and no
+// fold produces an entry sum that is negative or not finite (the wire admits
+// only finite, non-negative RTTs), nor a moment count other than the sketch
+// total. Each forgery is refused as corrupt.
+TEST(Snapshot, RejectsRollupKeysInVersion4AndImpossibleSums) {
+  auto v3 = ReadFixture("snapshot_v3.bin");
+  auto decoded_v3 = mopfleet::DecodeSnapshot(v3);
+  ASSERT_TRUE(decoded_v3.ok()) << decoded_v3.status().ToString();
+  auto v4 = mopfleet::EncodeSnapshot(decoded_v3.value());
 
-  // The wildcard key components of those rollups. The encoders counted
-  // three folds per record.
-  constexpr uint16_t kLegacyAny = 0xfffe;
-  constexpr uint8_t kLegacyAnyByte = 0xfe;
-  auto with_rollups = [&](uint64_t samples_folded) {
-    auto state = server.ExportState();
-    for (const auto& [k, entry] : fresh.store.Entries()) {
-      for (const mopcollect::AggregateKey& rollup :
-           {mopcollect::AggregateKey{k.app_id, kLegacyAny, kLegacyAny, kLegacyAnyByte, k.kind},
-            mopcollect::AggregateKey{kLegacyAny, k.isp_id, kLegacyAny, k.net_type, k.kind}}) {
-        state.store.MutableEntry(rollup).MergeFrom(*entry);
-      }
-    }
-    state.store.set_samples_folded(samples_folded);
-    return mopfleet::EncodeSnapshot(state);
+  // The first entry's key sits at 144 (high word app << 16 | isp at 148);
+  // its sum, 200.75 = 0x4069180000000000, follows at 152 (high word at 156).
+  // In version 3 the entry's moment count follows the key at 152 and its
+  // mean, 100.375 = 0x4059180000000000, at 160 (high word at 164).
+  struct Patch {
+    const char* what;
+    std::vector<uint8_t> image;
+    size_t at;
+    uint32_t original;
+    uint32_t forged;
+    const char* error;
   };
-  auto image = with_rollups(3 * records);
-  EXPECT_EQ(image[2], 3u);
+  const Patch patches[] = {
+      {"v4 wildcard rollup key", v4, 148, 0, 0xfffe, "legacy rollup key"},
+      {"v4 NaN sum", v4, 156, 0x40691800, 0x7ff80000, "sum negative or not finite"},
+      {"v4 infinite sum", v4, 156, 0x40691800, 0x7ff00000, "sum negative or not finite"},
+      {"v4 negative sum", v4, 156, 0x40691800, 0xc0691800, "sum negative or not finite"},
+      {"v3 negative mean", v3, 164, 0x40591800, 0xc0591800, "sum negative or not finite"},
+      {"v3 moment count past the sketch total", v3, 152, 2, 3, "sketch counts disagree"},
+  };
+  for (const Patch& p : patches) {
+    ASSERT_EQ(U32At(p.image, p.at), p.original) << p.what;
+    auto image = p.image;
+    PatchU32(&image, p.at, p.forged);
+    auto r = mopfleet::DecodeSnapshot(image);
+    ASSERT_FALSE(r.ok()) << p.what;
+    EXPECT_NE(r.status().message().find(p.error), std::string::npos)
+        << p.what << ": " << r.status().ToString();
+  }
+  // The same key is a legacy rollup in version 3, which loads.
+  auto rollup_v3 = v3;
+  PatchU32(&rollup_v3, 148, 0xfffe);
+  EXPECT_TRUE(mopfleet::DecodeSnapshot(rollup_v3).ok());
+}
+
+// Encoders before version 4 also wrote, per fine key, a per-app and a
+// per-ISP rollup entry with wildcard components, and counted their folds in
+// samples_folded. The version-3 golden file is of that shape; it loads into
+// the state a fresh ingest of its records builds (the version-2 file's, whose
+// rollups are dropped too).
+TEST(Snapshot, LegacyRollupEntriesAreDroppedOnLoad) {
+  auto image = ReadFixture("snapshot_v3.bin");
+  ASSERT_EQ(image[2], 3u);
+  // samples_folded (a u64) sits at 132: 4 fine folds plus 8 rollup folds.
+  ASSERT_EQ(U32At(image, 132), 12u);
+  ASSERT_EQ(U32At(image, 136), 0u);
+  auto fresh = mopfleet::DecodeSnapshot(ReadFixture("snapshot_v2.bin"));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
   auto decoded = mopfleet::DecodeSnapshot(image);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   const auto& got = decoded.value();
-  EXPECT_EQ(got.store.samples_folded(), records);
-  EXPECT_EQ(got.store.key_count(), fresh.store.key_count());
-  // Byte for byte the state a fresh ingest of the records builds.
-  EXPECT_EQ(mopfleet::EncodeSnapshot(got), mopfleet::EncodeSnapshot(fresh));
-
-  auto got_apps = mopcollect::TcpAppStatsOf(got.store, got.apps);
-  auto want_apps = server.TcpAppStats();
-  ASSERT_EQ(got_apps.size(), want_apps.size());
-  for (size_t i = 0; i < got_apps.size(); ++i) {
-    EXPECT_EQ(got_apps[i].app, want_apps[i].app);
-    EXPECT_EQ(got_apps[i].count, want_apps[i].count);
-    EXPECT_DOUBLE_EQ(got_apps[i].median_ms, want_apps[i].median_ms);
-    EXPECT_DOUBLE_EQ(got_apps[i].p95_ms, want_apps[i].p95_ms);
-    EXPECT_NEAR(got_apps[i].mean_ms, want_apps[i].mean_ms, 1e-9);
-  }
-  auto got_isps = mopcollect::IspDnsStatsOf(got.store, got.isps);
-  auto want_isps = server.IspDnsStats();
-  ASSERT_EQ(got_isps.size(), want_isps.size());
-  for (size_t i = 0; i < got_isps.size(); ++i) {
-    EXPECT_EQ(got_isps[i].isp, want_isps[i].isp);
-    EXPECT_EQ(got_isps[i].net_type, want_isps[i].net_type);
-    EXPECT_EQ(got_isps[i].count, want_isps[i].count);
-    EXPECT_DOUBLE_EQ(got_isps[i].median_ms, want_isps[i].median_ms);
-    EXPECT_DOUBLE_EQ(got_isps[i].p95_ms, want_isps[i].p95_ms);
-  }
+  EXPECT_EQ(got.store.samples_folded(), 4u);
+  EXPECT_EQ(got.store.key_count(), 3u);
+  // Byte for byte the state of the file without rollups.
+  EXPECT_EQ(mopfleet::EncodeSnapshot(got), mopfleet::EncodeSnapshot(fresh.value()));
 
   // The rollups hold two folds per record: below that, samples_folded would
   // go negative.
-  EXPECT_TRUE(mopfleet::DecodeSnapshot(with_rollups(2 * records)).ok());
-  auto r = mopfleet::DecodeSnapshot(with_rollups(2 * records - 1));
+  auto patched = image;
+  PatchU32(&patched, 132, 8);
+  auto at_floor = mopfleet::DecodeSnapshot(patched);
+  ASSERT_TRUE(at_floor.ok()) << at_floor.status().ToString();
+  EXPECT_EQ(at_floor.value().store.samples_folded(), 0u);
+  PatchU32(&patched, 132, 7);
+  auto r = mopfleet::DecodeSnapshot(patched);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("rollup counts exceed samples_folded"), std::string::npos)
       << r.status().ToString();
@@ -817,7 +855,7 @@ TEST(HealthStore, MergeFromResolvesGaugesBySeqWrapAware) {
   g.kind = 1;
   g.merge = 0;
 
-  mopcollect::HealthStore older(4), newer(4);
+  mopcollect::HealthStore older, newer;
   g.value = 500;
   older.FoldEntry(/*device=*/1, /*seq=*/0xfffffffe, g);  // pre-wrap
   g.value = 100;
@@ -828,7 +866,7 @@ TEST(HealthStore, MergeFromResolvesGaugesBySeqWrapAware) {
   EXPECT_EQ(v, 100u);  // the wrapped seq wins; a plain compare would keep 500
 
   // Merging the stale reading back in does not regress the gauge.
-  mopcollect::HealthStore stale(4);
+  mopcollect::HealthStore stale;
   g.value = 500;
   stale.FoldEntry(1, 0xfffffffe, g);
   older.MergeFrom(stale);
@@ -840,7 +878,7 @@ TEST(HealthStore, MergeFromResolvesGaugesBySeqWrapAware) {
   c.name = "mopeye_device_made_total";
   c.kind = 0;
   c.value = 3;
-  mopcollect::HealthStore x(4), y(4);
+  mopcollect::HealthStore x, y;
   x.FoldEntry(1, 1, c);
   y.FoldEntry(2, 1, c);
   x.MergeFrom(y);

@@ -157,17 +157,6 @@ TEST(DelayModels, MixtureSelectsComponents) {
   EXPECT_GT(high, 800);
 }
 
-TEST(OnlineStats, MeanVarianceMinMax) {
-  moputil::OnlineStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(v);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.1380899, 1e-5);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-}
-
 TEST(LogQuantile, GuaranteedRelativeError) {
   moputil::LogQuantile sketch(0.02);
   Samples exact;

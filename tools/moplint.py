@@ -22,13 +22,14 @@ Four rule families, each of which used to be enforced only by convention
                  the annotated moputil::Mutex / MutexLock wrappers keep
                  Clang -Wthread-safety analysis sound everywhere.
 
-  raw-counter    Ad-hoc `uint64_t foo_count_;` style tally members are banned
-                 in src/ outside src/telemetry/: counters belong on the
+  raw-counter    Ad-hoc `uint64_t foo_count_;` style tally declarations
+                 (members and function locals alike) are banned in src/
+                 outside src/telemetry/: counters belong on the
                  moptel::Registry (lane-sharded, merged on read, exported)
                  instead of growing another hand-merged Stats struct. Beyond
                  the *_count / *_counter / *_total suffixes the rule also
                  knows the tally idioms that actually grew in this codebase —
-                 uint64_t *_read / *_polls instrumentation members,
+                 uint64_t *_read / *_polls instrumentation tallies,
                  *high_water peaks (uint64_t or size_t), and
                  std::vector<uint64_t>/<size_t> arrays of either (the
                  per-queue egress tally shape) — so a counter migrated onto
@@ -76,8 +77,9 @@ RAW_MUTEX_RE = re.compile(
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
-# A hand-rolled tally member: `uint64_t frames_count_;`, `uint64_t retries_total = 0;`,
-# `uint64_t packets_read_;`, `size_t queue_high_water_ = 0;`.
+# A hand-rolled tally declaration, member or local: `uint64_t frames_count_;`,
+# `uint64_t retries_total = 0;`, `uint64_t packets_read_;`,
+# `size_t queue_high_water_ = 0;`.
 # Named-by-suffix so honest quantities like `uint64_t bytes_sent_` stay legal;
 # the rule targets the *pattern* of growing new ad-hoc counter structs.
 # Three shapes: uint64_t tallies by suffix (a size_t `shard_count` is a size,
@@ -268,7 +270,7 @@ def check_raw_counter(relpath, text, raw_lines):
             name = m.group("n1") or m.group("n2") or m.group("n3") or m.group("n4")
             findings.append(Finding(
                 relpath, idx, "raw-counter",
-                f"raw counter member `{ctype} {name}` — register a "
+                f"raw counter declaration `{ctype} {name}` — register a "
                 "moptel::Counter on the telemetry Registry instead of growing "
                 "another hand-merged tally (waiver: // moplint-allow: "
                 "raw-counter)"))

@@ -1,9 +1,10 @@
-// Known-bad fixture for the raw-counter rule: ad-hoc tally members named by
-// the *_count / *_counter / *_total suffix convention, plus the
+// Known-bad fixture for the raw-counter rule: ad-hoc tally declarations
+// named by the *_count / *_counter / *_total suffix convention, plus the
 // instrumentation idioms that actually grew in this codebase before the
 // telemetry registry existed (*_read / *_polls tallies, *high_water peaks,
 // and — with multi-queue egress — std::vector arrays of the same shapes) —
-// all of which belong on the moptel::Registry instead.
+// all of which belong on the moptel::Registry instead. The rule matches
+// declarations, so a function-local tally is flagged like a member.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -26,3 +27,11 @@ struct IngestStats {
   std::vector<uint64_t> bytes_per_queue_;  // honest quantities — clean
   std::vector<uint32_t> tiny_counts_;      // not uint64_t/size_t — clean
 };
+
+inline uint64_t SumFrames(const std::vector<uint64_t>& frames) {
+  uint64_t local_frames_total = 0;  // flagged (function-local tally)
+  for (uint64_t f : frames) {
+    local_frames_total += f;
+  }
+  return local_frames_total;
+}

@@ -112,13 +112,13 @@ class RawMutexTest(unittest.TestCase):
 class RawCounterTest(unittest.TestCase):
     def test_bad_fixture_flags_each_suffix(self):
         findings = lint_fixture("bad_raw_counter.cc", "src/collector/bad.cc")
-        self.assertEqual(rules(findings), ["raw-counter"] * 11)
+        self.assertEqual(rules(findings), ["raw-counter"] * 12)
         messages = " ".join(f.message for f in findings)
         for name in ("frames_count_", "retries_total", "drop_counter_",
                      "batches_totals_", "packets_read_", "empty_polls_",
                      "queue_high_water_", "in_use_high_water",
                      "queue_drops_total_", "queue_frames_count",
-                     "queue_high_waters_"):
+                     "queue_high_waters_", "local_frames_total"):
             self.assertIn(name, messages)
         self.assertNotIn("bytes_sent_", messages)
         self.assertNotIn("small_count_", messages)
