@@ -1,6 +1,7 @@
-// Deterministic kernels for the thread-model-v4 egress path: the pure-ACK
-// coalescing rule, the multi-queue tun fan-out/round-robin drain, and the
-// per-flush virtual-time cost law (shared vs exclusively-owned queue).
+// Deterministic kernels for the thread-model-v4 egress path: the multi-queue
+// tun fan-out/round-robin drain and the per-flush virtual-time cost law
+// (shared vs exclusively-owned queue). Numbering starts at 2: kernel 1
+// replayed a gather-buffer ACK coalescing rule the engine no longer has.
 //
 // Everything here is virtual time or pure logic drawn from seeded RNGs, so
 // the output is byte-stable and checked in under bench/baselines/ — unlike
@@ -12,7 +13,6 @@
 #include "android/tun_device.h"
 #include "baselines/presets.h"
 #include "bench/bench_util.h"
-#include "core/ack_coalesce.h"
 #include "netpkt/packet.h"
 #include "netpkt/packet_buf.h"
 #include "netpkt/tcp.h"
@@ -23,100 +23,6 @@
 #include "util/time.h"
 
 namespace {
-
-moppkt::FlowKey FlowForPort(uint16_t app_port) {
-  moppkt::FlowKey f;
-  f.local = {moppkt::IpAddr(10, 0, 0, 2), app_port};
-  f.remote = {moppkt::IpAddr(93, 1, 2, 3), 443};
-  return f;
-}
-
-moppkt::TcpSegmentSpec PureAck(uint16_t app_port, uint32_t ack) {
-  moppkt::TcpSegmentSpec spec;
-  spec.src_port = 443;
-  spec.dst_port = app_port;
-  spec.seq = 5001;
-  spec.ack = ack;
-  spec.flags = moppkt::AckFlag();
-  return spec;
-}
-
-// Replays a spec sequence through the gather-tail rule exactly as
-// MopEyeEngine::GatherLaneWrite applies it, and reports how many slots the
-// flush burst ends with plus how many ACKs were collapsed.
-struct GatherReplay {
-  size_t kept = 0;
-  size_t coalesced = 0;
-};
-
-GatherReplay Replay(const std::vector<moppkt::TcpSegmentSpec>& specs) {
-  std::vector<mopeye::GatherMeta> gather;
-  GatherReplay r;
-  for (const auto& spec : specs) {
-    mopeye::GatherMeta meta = mopeye::MetaForSpec(FlowForPort(spec.dst_port), spec);
-    if (!gather.empty() && mopeye::AckSupersedes(gather.back(), meta)) {
-      gather.back() = meta;
-      ++r.coalesced;
-    } else {
-      gather.push_back(meta);
-    }
-  }
-  r.kept = gather.size();
-  return r;
-}
-
-void RunCoalesceRuleTable() {
-  mopbench::PrintHeader("Egress kernel 1", "pure-ACK coalescing rule (gather-tail replay)");
-
-  moputil::Table t({"sequence", "packets", "kept", "coalesced"});
-  auto add = [&t](const char* label, const std::vector<moppkt::TcpSegmentSpec>& specs) {
-    GatherReplay r = Replay(specs);
-    t.AddRow({label, std::to_string(specs.size()), std::to_string(r.kept),
-              std::to_string(r.coalesced)});
-  };
-
-  // A same-flow cumulative run collapses to its latest ACK.
-  std::vector<moppkt::TcpSegmentSpec> run;
-  for (uint32_t i = 0; i < 8; ++i) {
-    run.push_back(PureAck(40000, 101 + i * 1460));
-  }
-  add("8 same-flow cumulative ACKs", run);
-
-  // A data segment in the middle pins both sides of the split.
-  std::vector<uint8_t> payload(32, 0x55);
-  std::vector<moppkt::TcpSegmentSpec> split = run;
-  split[4].payload = payload;
-  split[4].flags = moppkt::PshAckFlag();
-  add("same run, data segment at slot 4", split);
-
-  // FIN is never coalesced over, in either direction.
-  std::vector<moppkt::TcpSegmentSpec> fin = run;
-  fin[4].flags = moppkt::FinAckFlag();
-  add("same run, FIN at slot 4", fin);
-
-  // A pure window update (same ack, same seq) supersedes the tail too.
-  std::vector<moppkt::TcpSegmentSpec> window;
-  window.push_back(PureAck(40000, 101));
-  window.push_back(PureAck(40000, 101));
-  window.back().window = 60000;
-  add("window update over equal ack", window);
-
-  // An older ack never replaces a newer tail (SeqGe, wraparound-safe).
-  std::vector<moppkt::TcpSegmentSpec> regress;
-  regress.push_back(PureAck(40000, 0xFFFFFF00u));
-  regress.push_back(PureAck(40000, 0x00000200u));  // wrapped forward: coalesces
-  regress.push_back(PureAck(40000, 0xFFFFFF00u));  // wrapped backward: kept
-  add("wraparound forward then stale", regress);
-
-  // Interleaved flows break adjacency: nothing to collapse.
-  std::vector<moppkt::TcpSegmentSpec> interleaved;
-  for (uint32_t i = 0; i < 8; ++i) {
-    interleaved.push_back(PureAck(static_cast<uint16_t>(40000 + (i % 2)), 101 + i * 1460));
-  }
-  add("2 flows interleaved per packet", interleaved);
-
-  std::printf("%s\n", t.Render().c_str());
-}
 
 void RunQueueFanoutTable(uint64_t seed) {
   mopbench::PrintHeader("Egress kernel 2",
@@ -219,7 +125,6 @@ void RunFlushCostTable(uint64_t seed) {
 
 int main(int argc, char** argv) {
   auto flags = mopbench::ParseFlags(argc, argv);
-  RunCoalesceRuleTable();
   RunQueueFanoutTable(flags.seed);
   RunFlushCostTable(flags.seed);
   return 0;

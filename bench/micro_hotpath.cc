@@ -16,7 +16,6 @@
 
 #include "android/tun_device.h"
 #include "baselines/presets.h"
-#include "core/ack_coalesce.h"
 #include "core/tcp_state_machine.h"
 #include "net/net_context.h"
 #include "net/server.h"
@@ -575,49 +574,6 @@ void BM_TcpStateMachineRelay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TcpStateMachineRelay);
-
-// The gather-tail coalescing decision (thread model v4): for each emitted
-// pure ACK, compare its GatherMeta against the buffer tail and either
-// replace the tail (same flow, superseded cumulative ACK) or append. Arg 0
-// is an ACK run split across flows (never coalesces — the miss path); arg 1
-// is a same-flow run (always coalesces — the hit path).
-void BM_AckCoalesce(benchmark::State& state) {
-  const bool same_flow = state.range(0) != 0;
-  constexpr size_t kRun = 64;
-  std::vector<mopeye::GatherMeta> metas(kRun);
-  for (size_t i = 0; i < kRun; ++i) {
-    moppkt::TcpSegmentSpec spec;
-    spec.src_port = 443;
-    spec.dst_port = same_flow ? 40000 : static_cast<uint16_t>(40000 + i);
-    spec.seq = 5001;
-    spec.ack = 101 + static_cast<uint32_t>(i) * 1460;
-    spec.flags = moppkt::AckFlag();
-    moppkt::FlowKey flow = BenchFlow();
-    flow.local.port = spec.dst_port;
-    metas[i] = mopeye::MetaForSpec(flow, spec);
-  }
-  std::vector<mopeye::GatherMeta> gather;
-  gather.reserve(kRun);
-  uint64_t coalesced = 0;
-  for (auto _ : state) {
-    gather.clear();
-    for (const auto& meta : metas) {
-      if (!gather.empty() && mopeye::AckSupersedes(gather.back(), meta)) {
-        gather.back() = meta;
-        ++coalesced;
-      } else {
-        gather.push_back(meta);
-      }
-    }
-    benchmark::DoNotOptimize(gather.size());
-  }
-  state.counters["coalesced_per_run"] =
-      state.iterations() > 0
-          ? static_cast<double>(coalesced) / static_cast<double>(state.iterations())
-          : 0;
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRun);
-}
-BENCHMARK(BM_AckCoalesce)->Arg(0)->Arg(1)->ArgNames({"same_flow"});
 
 // Multi-queue tun fan-out + round-robin drain (thread model v4): inject a
 // 64-packet burst of 16 distinct flows (flow-hash classified onto the

@@ -30,16 +30,4 @@ mopeye::Config ToyVpnConfig() {
   return cfg;
 }
 
-mopeye::Config UnoptimizedConfig() {
-  mopeye::Config cfg;
-  cfg.read_mode = mopeye::Config::TunReadMode::kSleepFixed;
-  cfg.sleep_interval = moputil::Millis(20);  // PrivacyGuard's choice (§3.1)
-  cfg.write_scheme = mopeye::Config::WriteScheme::kDirectWrite;
-  cfg.put_scheme = mopeye::Config::PutScheme::kOldPut;
-  cfg.mapping = mopeye::Config::MappingStrategy::kNaivePerSyn;
-  cfg.timestamp_mode = mopeye::Config::TimestampMode::kSelector;
-  cfg.protect_mode = mopeye::Config::ProtectMode::kPerSocket;
-  return cfg;
-}
-
 }  // namespace mopbase

@@ -25,11 +25,6 @@ mopeye::Config HaystackConfig();
 // ToyVpn sample-code relay: fixed 100 ms sleep before each read() (§3.1).
 mopeye::Config ToyVpnConfig();
 
-// A MopEye variant with all §3 optimizations turned OFF (naive mapping,
-// directWrite, selector timestamps, sleep reads) — the "before" side of the
-// ablation benches.
-mopeye::Config UnoptimizedConfig();
-
 }  // namespace mopbase
 
 #endif  // MOPEYE_BASELINES_PRESETS_H_

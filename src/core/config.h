@@ -121,15 +121,13 @@ struct Config {
   // per lane per burst. 1 (the default) is the paper's per-packet read and
   // keeps every checked-in baseline byte-identical.
   int tun_read_batch = 1;
-  // Elephant-flow work stealing: an overloaded lane publishes its hottest
-  // TCP flow; the TunReader re-homes that whole flow to the idlest lane via
+  // Elephant-flow work stealing: an overloaded lane (read queue at least
+  // kStealQueueThreshold = 24 deep, engine.cc) publishes its hottest TCP
+  // flow; the TunReader re-homes that whole flow to the idlest lane via
   // handoff tokens through the read queue, so per-flow FIFO order and the
   // single-lane-per-flow affinity invariant survive — a steal re-homes a
   // flow, it never interleaves one. Off by default (paper model).
   bool steal_enabled = false;
-  // Queue depth at which a lane declares itself overloaded and publishes its
-  // hottest flow as stealable.
-  int steal_queue_threshold = 24;
   // Thread model v3 egress: each MainWorker lane gathers the packets it
   // produced and flushes them with one writev-style gathered write to the
   // tun fd from its own thread (one tun_write_syscall plus
@@ -153,11 +151,13 @@ struct Config {
   // per-flow FIFO order is untouched. Non-lane producers (connect threads,
   // DNS temp threads) keep the §3.5.1 TunWriter on queue 0.
   int tun_queues = 1;
-  // Pure-ACK coalescing in the lane gather buffer: before a flush, collapse
-  // consecutive same-flow pure ACKs (no payload, no SYN/FIN/RST) into the
-  // latest one. TCP ACKs are cumulative, so the app-visible stream is
-  // byte-identical — the later ACK's number and window supersede the
-  // earlier's. Off by default (paper model; baselines byte-identical).
+  // Pure-ACK coalescing count under gathered egress (lane_tun_write). The
+  // relay ACKs each socket write once (§2.3), however many data packets the
+  // write carries; on, Counters::acks_coalesced counts the per-packet ACKs
+  // that one cumulative ACK stands in for (chunks - 1 per write). Only the
+  // ACKs of one write are counted: a FIN ACK or re-ACK sent next to a
+  // write's ACK is its own packet. The knob changes no packet the relay
+  // sends. Off by default (paper model).
   bool ack_coalescing = false;
 
   // Self-measurement plane (moptel): lane-sharded metrics registry, stage

@@ -18,6 +18,9 @@ constexpr moputil::SimDuration kUdpIdleTimeout = moputil::Seconds(60);
 constexpr uint16_t kMss = 1460;
 constexpr uint16_t kWindow = 65535;
 constexpr size_t kSocketBuffer = 65535;
+// Read-queue depth at which a lane declares itself overloaded and publishes
+// its hottest flow as stealable (Config::steal_enabled).
+constexpr size_t kStealQueueThreshold = 24;
 
 // Per-lane emission pools. Static duration like BufPool::Default(): packets
 // emitted by a lane can still sit in the TunWriter queue, pending event-loop
@@ -1015,24 +1018,20 @@ void MopEyeEngine::FlushSocketWrites(const std::shared_ptr<TcpClient>& client) {
   // packets they point into return to the pool as the deque clears.
   std::vector<uint8_t> data;
   data.reserve(client->socket_write_bytes);
-  std::vector<uint32_t> chunk_bytes;
-  if (config_.lane_tun_write) {
-    chunk_bytes.reserve(client->socket_write_buf.size());
-  }
   for (const auto& pending : client->socket_write_buf) {
     data.insert(data.end(), pending.data.begin(), pending.data.end());
-    if (config_.lane_tun_write) {
-      chunk_bytes.push_back(static_cast<uint32_t>(pending.data.size()));
-    }
   }
+  // Gathered egress with coalescing on counts the per-packet ACKs that the
+  // write's one cumulative ACK stands in for: all but its last data packet's.
+  const uint64_t coalesced =
+      config_.lane_tun_write && config_.ack_coalescing ? client->socket_write_buf.size() - 1 : 0;
   client->socket_write_buf.clear();
   client->socket_write_bytes = 0;
   moputil::SimDuration cost = config_.costs.socket_op->Sample(home->rng);
   if (telemetry_) {
     telemetry_->stage_socket_write->Observe(home->index, moputil::ToMillis(cost));
   }
-  home->lane.Submit(0, cost, [this, client, data = std::move(data),
-                              chunk_bytes = std::move(chunk_bytes)]() mutable {
+  home->lane.Submit(0, cost, [this, client, data = std::move(data), coalesced]() mutable {
     if (client->removed || !client->channel) {
       return;
     }
@@ -1042,27 +1041,9 @@ void MopEyeEngine::FlushSocketWrites(const std::shared_ptr<TcpClient>& client) {
     }
     client->channel->Write(std::move(data));
     // §2.3 "Socket Write": after pushing the buffer to the server, instruct
-    // the state machine to ACK the app. In gathered-egress mode the relay
-    // keeps the paper's per-packet granularity: one cumulative ACK per tun
-    // data packet staged into this batch, ascending to the batch total, so
-    // window feedback tracks individual packets. These land consecutively
-    // at the lane's gather tail, which is exactly the redundancy the
-    // ack_coalescing rule collapses back into the final segment.
-    moppkt::TcpSegmentSpec ack = client->sm.MakeAck();
-    if (chunk_bytes.size() > 1) {
-      uint32_t cursor = ack.ack;
-      for (uint32_t n : chunk_bytes) {
-        cursor -= n;  // rewind to the batch-start cumulative ACK (mod 2^32)
-      }
-      for (uint32_t n : chunk_bytes) {
-        cursor += n;
-        moppkt::TcpSegmentSpec step = ack;
-        step.ack = cursor;
-        EmitToApp(client, step, &client->home->lane, client->home);
-      }
-    } else {
-      EmitToApp(client, ack, &client->home->lane, client->home);
-    }
+    // the state machine to ACK the app — one cumulative ACK for the write.
+    EmitToApp(client, client->sm.MakeAck(), &client->home->lane, client->home);
+    client->home->counters.acks_coalesced += coalesced;
     // Half-close deferred until the buffer flushed.
     if (client->sm.state() == RelayTcpState::kCloseWait ||
         client->sm.state() == RelayTcpState::kLastAck) {
@@ -1126,15 +1107,13 @@ void MopEyeEngine::EmitToApp(const std::shared_ptr<TcpClient>& client,
                                      client->ip_id++, /*ttl=*/64, datagram.writable());
   }
   datagram.set_size(n);
-  // The spec classifies the packet (pure ACK or not) before serialization,
-  // so the gather path's coalescing rule never re-parses the bytes.
-  EmitRawToApp(std::move(datagram), producer, gather, MetaForSpec(client->flow, spec));
+  EmitRawToApp(std::move(datagram), producer, gather);
 }
 
 void MopEyeEngine::EmitRawToApp(moppkt::PacketBuf datagram, mopsim::ActorLane* producer,
-                                WorkerLane* gather, const GatherMeta& meta) {
+                                WorkerLane* gather) {
   if (gather != nullptr && config_.lane_tun_write) {
-    GatherLaneWrite(*gather, std::move(datagram), meta);
+    GatherLaneWrite(*gather, std::move(datagram));
     return;
   }
   moputil::SimDuration overhead = writer_->SubmitPacket(std::move(datagram));
@@ -1143,20 +1122,8 @@ void MopEyeEngine::EmitRawToApp(moppkt::PacketBuf datagram, mopsim::ActorLane* p
   }
 }
 
-void MopEyeEngine::GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram,
-                                   const GatherMeta& meta) {
-  if (config_.ack_coalescing && meta.pure_ack && !lane.write_gather.empty() &&
-      AckSupersedes(lane.write_gather_meta.back(), meta)) {
-    // Consecutive same-flow pure ACKs: the cumulative ACK makes the trailing
-    // one redundant — replace it in place. The superseded buffer returns to
-    // its pool here; the flush already pending covers the replacement.
-    lane.write_gather.back() = std::move(datagram);
-    lane.write_gather_meta.back() = meta;
-    ++lane.counters.acks_coalesced;
-    return;
-  }
+void MopEyeEngine::GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram) {
   lane.write_gather.push_back(std::move(datagram));
-  lane.write_gather_meta.push_back(meta);
   if (lane.write_flush_pending) {
     return;
   }
@@ -1175,7 +1142,6 @@ void MopEyeEngine::FlushLaneWrites(WorkerLane& lane) {
   lane.affinity.Check();
   std::vector<moppkt::PacketBuf> burst;
   burst.swap(lane.write_gather);
-  lane.write_gather_meta.clear();
   const CostModels& costs = config_.costs;
   // One gathered write() on this lane's own tun queue fd: syscall +
   // per-iovec marginal cost, plus the stochastic within-queue stall — but
@@ -1258,7 +1224,7 @@ void MopEyeEngine::RemoveClient(const std::shared_ptr<TcpClient>& client) {
 
 void MopEyeEngine::MaybePublishSteal(WorkerLane& lane) {
   const auto& items = lane.read_queue.items;
-  if (items.size() < static_cast<size_t>(config_.steal_queue_threshold)) {
+  if (items.size() < kStealQueueThreshold) {
     return;
   }
   if (steal_board_->pending(lane.index)) {

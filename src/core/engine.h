@@ -29,9 +29,9 @@
 // Config::tun_queues = N the tun device exposes N delivery queues
 // (IFF_MULTI_QUEUE model), lane i flushes its gathered egress to queue
 // (i % N), and tun_write_contention is sampled only when another lane shares
-// that queue — lanes <= queues run contention-free. Config::ack_coalescing
-// collapses consecutive same-flow pure ACKs in the gather buffer into the
-// latest one (cumulative-ACK semantics; see core/ack_coalesce.h).
+// that queue — lanes <= queues run contention-free. Every egress path ACKs
+// each socket write once; with Config::ack_coalescing, gathered egress
+// counts in acks_coalesced the per-packet ACKs that ACK stands in for.
 //
 // Config::worker_lanes = 1 (default) is the paper's single-MainWorker model
 // and is behaviorally identical to it — same RNG stream, same costs, same
@@ -50,7 +50,6 @@
 #include "android/vpn_service.h"
 #include "concurrent/lane_affinity.h"
 #include "concurrent/steal_board.h"
-#include "core/ack_coalesce.h"
 #include "core/config.h"
 #include "core/measurement.h"
 #include "core/packet_mapper.h"
@@ -308,10 +307,7 @@ class MopEyeEngine {
     // Gathered lane egress (Config::lane_tun_write): packets this lane
     // produced since its last flush, written with one gathered write() from
     // the lane itself instead of through the shared TunWriter.
-    // `write_gather_meta` rides in lockstep (same index = same packet) and
-    // carries the pure-ACK metadata the coalescing rule inspects.
     std::vector<moppkt::PacketBuf> write_gather;
-    std::vector<GatherMeta> write_gather_meta;
     bool write_flush_pending = false;
     // Multi-queue egress (Config::tun_queues): the tun queue this lane
     // flushes to (index % tun_queues), and whether it owns that queue alone
@@ -373,16 +369,11 @@ class MopEyeEngine {
   void EmitToApp(const std::shared_ptr<TcpClient>& client,
                  const moppkt::TcpSegmentSpec& spec, mopsim::ActorLane* producer,
                  WorkerLane* gather = nullptr);
-  // `meta` classifies the datagram for the gather path's pure-ACK coalescing
-  // (default = not coalescible: the raw/UDP emission shape).
   void EmitRawToApp(moppkt::PacketBuf datagram, mopsim::ActorLane* producer,
-                    WorkerLane* gather = nullptr, const GatherMeta& meta = {});
+                    WorkerLane* gather = nullptr);
   // Gathered lane egress (Config::lane_tun_write): append to the lane's
-  // burst — or, with Config::ack_coalescing, replace a trailing same-flow
-  // pure ACK the new one supersedes — and schedule one flush behind the
-  // current task chain.
-  void GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram,
-                       const GatherMeta& meta);
+  // burst and schedule one flush behind the current task chain.
+  void GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram);
   // Pays one gathered-write cost for everything queued, then delivers the
   // burst to the lane's own tun queue; re-arms itself while packets keep
   // arriving. Contention is sampled only when another lane shares the queue

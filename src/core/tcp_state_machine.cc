@@ -54,7 +54,6 @@ void TcpStateMachine::NoteSyn(const moppkt::TcpSegment& syn) {
   if (syn.mss.has_value()) {
     app_mss_ = *syn.mss;
   }
-  app_window_ = syn.window;
 }
 
 moppkt::TcpSegmentSpec TcpStateMachine::MakeSynAck() {
@@ -148,7 +147,6 @@ TcpStateMachine::Output TcpStateMachine::OnAppSegment(const moppkt::TcpSegment& 
   if (seg.flags.ack && moppkt::SeqGt(seg.ack, snd_una_)) {
     snd_una_ = seg.ack;
   }
-  app_window_ = seg.window;
 
   if (state_ == RelayTcpState::kSynRcvd && seg.flags.ack &&
       moppkt::SeqGe(seg.ack, iss_ + 1)) {

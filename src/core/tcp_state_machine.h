@@ -98,7 +98,6 @@ class TcpStateMachine {
   uint32_t snd_nxt() const { return snd_nxt_; }
   uint32_t rcv_nxt() const { return rcv_nxt_; }
   uint16_t app_mss() const { return app_mss_; }
-  uint32_t app_window() const { return app_window_; }
   uint64_t bytes_to_app() const { return bytes_to_app_; }
   uint64_t bytes_from_app() const { return bytes_from_app_; }
 
@@ -114,7 +113,6 @@ class TcpStateMachine {
   uint16_t mss_;
   uint16_t window_;
   uint16_t app_mss_ = 536;
-  uint32_t app_window_ = 65535;
   bool fin_sent_ = false;
   uint64_t bytes_to_app_ = 0;
   uint64_t bytes_from_app_ = 0;

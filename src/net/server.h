@@ -164,22 +164,6 @@ class EchoBehavior : public ServerBehavior {
   void OnData(ServerConn& conn, std::span<const uint8_t> data) override;
 };
 
-// Request/response: after receiving `request_size` bytes, waits `think` and
-// responds with `response_size` bytes; optionally closes afterwards.
-class HttpLikeBehavior : public ServerBehavior {
- public:
-  HttpLikeBehavior(size_t request_size, size_t response_size, moputil::SimDuration think,
-                   bool close_after = false);
-  void OnData(ServerConn& conn, std::span<const uint8_t> data) override;
-
- private:
-  size_t request_size_;
-  size_t response_size_;
-  moputil::SimDuration think_;
-  bool close_after_;
-  size_t received_ = 0;
-};
-
 // Streams `total_bytes` to the client as soon as it connects (speedtest
 // download direction).
 class BulkSourceBehavior : public ServerBehavior {

@@ -29,24 +29,6 @@ const char* ChannelStateName(ChannelState s) {
   return "?";
 }
 
-const char* SocketEventTypeName(SocketEventType t) {
-  switch (t) {
-    case SocketEventType::kConnected:
-      return "connected";
-    case SocketEventType::kConnectFailed:
-      return "connect-failed";
-    case SocketEventType::kReadable:
-      return "readable";
-    case SocketEventType::kWritable:
-      return "writable";
-    case SocketEventType::kPeerClosed:
-      return "peer-closed";
-    case SocketEventType::kReset:
-      return "reset";
-  }
-  return "?";
-}
-
 namespace {
 constexpr size_t kMss = 1460;
 
@@ -537,40 +519,6 @@ void UdpSocket::SendTo(const moppkt::SocketAddr& dst, std::vector<uint8_t> paylo
 
 void EchoBehavior::OnData(ServerConn& conn, std::span<const uint8_t> data) {
   conn.Send(std::vector<uint8_t>(data.begin(), data.end()));
-}
-
-HttpLikeBehavior::HttpLikeBehavior(size_t request_size, size_t response_size,
-                                   moputil::SimDuration think, bool close_after)
-    : request_size_(request_size),
-      response_size_(response_size),
-      think_(think),
-      close_after_(close_after) {}
-
-void HttpLikeBehavior::OnData(ServerConn& conn, std::span<const uint8_t> data) {
-  received_ += data.size();
-  if (received_ < request_size_) {
-    return;
-  }
-  received_ = 0;
-  size_t response = response_size_;
-  bool close_after = close_after_;
-  if (think_ <= 0) {
-    conn.SendBytes(response);
-    if (close_after) {
-      conn.Close();
-    }
-    return;
-  }
-  auto conn_ref = conn.shared_from_this();
-  conn.loop()->Schedule(think_, [conn_ref, response, close_after] {
-    if (!conn_ref->client_alive()) {
-      return;
-    }
-    conn_ref->SendBytes(response);
-    if (close_after) {
-      conn_ref->Close();
-    }
-  });
 }
 
 void BulkSourceBehavior::OnConnect(ServerConn& conn) { conn.SendBytes(total_bytes_); }

@@ -59,8 +59,6 @@ enum class SocketEventType {
   kReset,
 };
 
-const char* SocketEventTypeName(SocketEventType t);
-
 class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
  public:
   // Channels are shared_ptr-managed: in-flight wire events hold weak refs and

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "android/tun_device.h"
 #include "netpkt/dns.h"
 #include "netpkt/packet_buf.h"
 #include "telemetry/metrics.h"
@@ -625,7 +626,7 @@ struct SkewRunResult {
   std::vector<std::vector<uint8_t>> sent;      // per connection, index order
   uint64_t steals = 0;          // reader-brokered re-homings
   uint64_t steal_handoffs = 0;  // victim-side handoff completions
-  uint64_t acks_coalesced = 0;  // gather-tail pure-ACK collapses
+  uint64_t acks_coalesced = 0;  // per-packet ACKs folded into one per write
   uint64_t unknown_flow = 0;
   uint64_t parse_errors = 0;
   size_t rehomed_flows = 0;  // flows whose live route left their hash lane
@@ -640,8 +641,7 @@ SkewRunResult RunSkewedScenario(bool steal_enabled, bool ack_coalescing = false,
   cfg.worker_lanes = static_cast<int>(kLanes);
   cfg.tun_read_batch = 8;
   cfg.steal_enabled = steal_enabled;
-  cfg.steal_queue_threshold = 4;  // test-scale traffic must cross it
-  cfg.lane_tun_write = true;      // gathered egress races re-homing hardest
+  cfg.lane_tun_write = true;  // gathered egress races re-homing hardest
   cfg.ack_coalescing = ack_coalescing;
   if (tun_queues > 0) {
     cfg.tun_queues = tun_queues;
@@ -757,15 +757,21 @@ TEST(EngineSteal, StealingPreservesExactMeasurementRecords) {
 // ---- Multi-queue tun egress + pure-ACK coalescing (thread model v4) ----
 
 // One deterministic upload-heavy run: sink servers never send payload back,
-// so every relay->app packet after the handshake is a pure ACK and the lane
-// gather buffers fill with long same-flow ACK runs — the coalescer's best
-// case. Echo connections interleave data segments (splitting runs), and one
-// connection closes mid-run so FIN traffic lands inside the others' runs.
+// so every relay->app packet after the handshake is a pure ACK, and socket
+// writes carry several staged data packets — the case where one cumulative
+// ACK per write replaces the most per-packet ACKs. Echo connections
+// interleave data segments, and one connection closes mid-run so FIN traffic
+// lands among the others' ACKs.
 struct CoalesceRunResult {
   std::vector<std::string> records;            // canonical projection, sorted
   std::vector<std::vector<uint8_t>> received;  // per connection, index order
   std::vector<std::vector<uint8_t>> sent;      // per connection, index order
   uint64_t acks_coalesced = 0;
+  // Lane-pool buffers handed out, and packets the tun delivered to the
+  // apps, over the run. The lane pools are process-wide, so both are deltas
+  // from engine start.
+  uint64_t lane_pool_acquires = 0;
+  uint64_t tun_deliveries = 0;
   uint64_t bytes_app_to_server = 0;
   uint64_t bytes_server_to_app = 0;
   uint64_t unknown_flow = 0;
@@ -779,11 +785,17 @@ CoalesceRunResult RunUploadScenario(bool ack_coalescing) {
   cfg.worker_lanes = 4;
   cfg.tun_queues = 4;  // lanes own their queues exclusively
   cfg.tun_read_batch = 8;
-  cfg.lane_tun_write = true;  // coalescing lives in the gather buffer
+  cfg.lane_tun_write = true;  // coalescing counts only on gathered egress
   cfg.ack_coalescing = ack_coalescing;
+  cfg.telemetry = true;  // exports the lane pools' acquire counts
   EXPECT_TRUE(w.StartEngine(cfg).ok());
   auto* app = w.MakeApp(10190, "com.example.upload.acks", "AckApp");
   (void)app;
+  const moptel::Registry* reg = w.engine().telemetry_registry();
+  const mopdroid::TunDevice* tun = w.engine().vpn().tun();
+  uint64_t acquires_at_start = 0;
+  EXPECT_TRUE(reg->CounterValue("mopeye_bufpool_acquires_total", &acquires_at_start));
+  const uint64_t deliveries_at_start = tun->packets_in();
 
   CoalesceRunResult out;
   out.received.resize(kConns);
@@ -791,8 +803,8 @@ CoalesceRunResult RunUploadScenario(bool ack_coalescing) {
   std::vector<std::shared_ptr<mopapps::AppTcpConnection>> conns;
   for (int i = 0; i < kConns; ++i) {
     // Conns 0-2 bulk-upload into sinks, conns 3-4 echo (reflected data
-    // segments split the ACK runs), conn 5 uploads a little then closes
-    // early (its FIN handshake lands mid-run for everyone else).
+    // segments interleave with the ACKs), conn 5 uploads a little then
+    // closes early (its FIN handshake lands mid-run for everyone else).
     const bool echo = i == 3 || i == 4;
     auto addr = w.AddServer(
         moppkt::IpAddr(93, 44, 0, static_cast<uint8_t>(1 + i)), 7, Millis(5),
@@ -827,6 +839,10 @@ CoalesceRunResult RunUploadScenario(bool ack_coalescing) {
   std::sort(out.records.begin(), out.records.end());
   auto counters = w.engine().counters();
   out.acks_coalesced = counters.acks_coalesced;
+  uint64_t acquires_at_end = 0;
+  EXPECT_TRUE(reg->CounterValue("mopeye_bufpool_acquires_total", &acquires_at_end));
+  out.lane_pool_acquires = acquires_at_end - acquires_at_start;
+  out.tun_deliveries = tun->packets_in() - deliveries_at_start;
   out.bytes_app_to_server = counters.bytes_app_to_server;
   out.bytes_server_to_app = counters.bytes_server_to_app;
   out.unknown_flow = counters.unknown_flow;
@@ -838,12 +854,18 @@ TEST(EngineCoalesce, UploadHeavyRunsCoalesceWithoutChangingStreamsOrRecords) {
   CoalesceRunResult on = RunUploadScenario(/*ack_coalescing=*/true);
   CoalesceRunResult off = RunUploadScenario(/*ack_coalescing=*/false);
 
-  // The knob did real work in the on-run and exactly nothing in the off-run.
+  // The knob counted in the on-run and counted nothing in the off-run.
   EXPECT_GT(on.acks_coalesced, 0u);
   EXPECT_EQ(off.acks_coalesced, 0u);
+  // No lane buffer is built only to be dropped: the ACKs coalescing counts
+  // are never built, so every buffer the lane pools hand out leaves through
+  // the tun, in both runs.
+  EXPECT_GT(on.tun_deliveries, 0u);
+  EXPECT_EQ(on.lane_pool_acquires, on.tun_deliveries);
+  EXPECT_EQ(off.lane_pool_acquires, off.tun_deliveries);
 
-  // Byte-level stream equivalence: every upload completed in full — the
-  // collapsed ACK stream still carried every window opening the sender
+  // Byte-level stream equivalence: every upload completed in full — one
+  // cumulative ACK per socket write carried every window opening the sender
   // needed — and the echo streams came back byte-identical in both runs.
   uint64_t total_sent = 0;
   for (size_t i = 0; i < on.sent.size(); ++i) {
@@ -860,8 +882,8 @@ TEST(EngineCoalesce, UploadHeavyRunsCoalesceWithoutChangingStreamsOrRecords) {
   EXPECT_EQ(off.bytes_app_to_server, total_sent);
   EXPECT_EQ(on.bytes_server_to_app, off.bytes_server_to_app);
 
-  // Identical measurement records: coalescing is an egress optimization,
-  // invisible to the product of the system.
+  // Identical measurement records: the knob only counts, so it is invisible
+  // to the product of the system.
   EXPECT_EQ(on.records, off.records);
   ASSERT_EQ(on.records.size(), 6u);  // one TCP connect per flow
   EXPECT_EQ(on.unknown_flow, 0u);
@@ -872,9 +894,9 @@ TEST(EngineCoalesce, UploadHeavyRunsCoalesceWithoutChangingStreamsOrRecords) {
 
 TEST(EngineCoalesce, CoalescingSurvivesRehomedFlowsMidRun) {
   // The adversarial composition: every flow hashes to lane 0, stealing
-  // re-homes elephants mid-transfer, and the re-homed lanes keep coalescing
-  // ACK runs on their own tun queues. Stream bytes and measurement records
-  // must match a coalescing-off run exactly.
+  // re-homes elephants mid-transfer, and the re-homed lanes keep ACKing each
+  // socket write once on their own tun queues. Stream bytes and measurement
+  // records must match a coalescing-off run exactly.
   SkewRunResult on =
       RunSkewedScenario(/*steal_enabled=*/true, /*ack_coalescing=*/true, /*tun_queues=*/4);
   SkewRunResult off =
