@@ -1,10 +1,11 @@
 // google-benchmark micro benches over the relay's hot paths: packet
 // parse/build, checksums, DNS codec, the TCP state machine, telemetry
 // observations, the simulator's event core, the simulated kernel's socket
-// receive path, and the whole engine relaying a bulk workload.
+// receive path, and the whole engine relaying a bulk workload; plus the
+// crowd plane's whole-store reads: the sketch merge and the snapshot CRC.
 //
 // The README performance section records before/after numbers for the
-// zero-copy refactor; re-run with --benchmark_min_time=0.2s when updating it.
+// zero-copy refactor; re-run with --benchmark_min_time=0.2 when updating it.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -17,6 +18,7 @@
 #include "android/tun_device.h"
 #include "baselines/presets.h"
 #include "core/tcp_state_machine.h"
+#include "fleet/snapshot.h"
 #include "net/net_context.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -31,6 +33,7 @@
 #include "telemetry/metrics.h"
 #include "tests/test_world.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/time.h"
 
 namespace {
@@ -614,6 +617,55 @@ void BM_QueueFlush(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBurst);
 }
 BENCHMARK(BM_QueueFlush)->Arg(1)->Arg(8)->ArgNames({"queues"});
+
+// One sketch merge as FleetView::Refresh and the per-app and per-ISP
+// group-bys make them: a source shaped like a crowd entry (200 lognormal
+// RTTs, about 90 buckets) merged into an empty target (Arg 0) or into a copy
+// of a narrower target inside the source's span, which widens at both ends
+// (Arg 1; the copy is timed too).
+void BM_LogQuantileMerge(benchmark::State& state) {
+  moputil::Rng rng(0x5e7c);
+  constexpr size_t kSources = 64;
+  std::vector<moputil::LogQuantile> sources(kSources, moputil::LogQuantile(0.02));
+  double buckets = 0;
+  for (auto& source : sources) {
+    for (int i = 0; i < 200; ++i) {
+      source.Add(rng.LogNormalMedian(80.0, 0.7));
+    }
+    buckets += static_cast<double>(source.bucket_count());
+  }
+  moputil::LogQuantile base(0.02);
+  if (state.range(0) == 1) {
+    for (int i = 0; i < 40; ++i) {
+      base.Add(rng.LogNormalMedian(80.0, 0.15));
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    moputil::LogQuantile target = base;
+    target.MergeFrom(sources[i++ % kSources]);
+    benchmark::DoNotOptimize(target.buckets().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["source_buckets"] = buckets / kSources;
+  state.counters["target_buckets"] = static_cast<double>(base.bucket_count());
+}
+BENCHMARK(BM_LogQuantileMerge)->Arg(0)->Arg(1)->ArgNames({"narrow_target"});
+
+// The snapshot CRC over 1 MiB, about one crowd_ingest collector's snapshot.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> data(1u << 20);
+  moputil::Rng rng(0xc4c);
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng.NextU32());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mopfleet::Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -12,6 +12,14 @@ namespace {
 // random seq, so absolute comparison would be wrong across the wrap).
 bool SeqNewer(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) > 0; }
 
+// The shape rule Fold and MergeFrom share: a metric arriving with another
+// kind, a gauge with another merge rule, or a histogram with another bucket
+// geometry (when both rel_errs are known) conflicts with the stored one.
+bool ShapeConflicts(const HealthStore::Metric& m, uint8_t kind, uint8_t merge, double rel_err) {
+  return m.kind != kind || (m.kind == 1 && m.merge != merge) ||
+         (m.kind == 2 && rel_err > 0 && m.rel_err > 0 && m.rel_err != rel_err);
+}
+
 void AppendU64(std::string* out, uint64_t v) { out->append(std::to_string(v)); }
 
 void AppendDouble(std::string* out, double v) {
@@ -89,8 +97,7 @@ void HealthStore::FoldEntry(uint32_t device_id, uint32_t seq, const WireHealthEn
     it = metrics_.emplace(e.name, std::move(m)).first;
   }
   Metric& m = it->second;
-  if (m.kind != e.kind || (m.kind == 1 && m.merge != e.merge) ||
-      (m.kind == 2 && e.rel_err > 0 && m.rel_err > 0 && m.rel_err != e.rel_err)) {
+  if (ShapeConflicts(m, e.kind, e.merge, e.rel_err)) {
     // A device disagreeing with the crowd on a metric's shape must not
     // corrupt the rollup; drop the entry and count the conflict.
     ++conflicts_;
@@ -131,7 +138,7 @@ void HealthStore::MergeFrom(const HealthStore& o) {
       continue;
     }
     Metric& m = it->second;
-    if (m.kind != om.kind) {
+    if (ShapeConflicts(m, om.kind, om.merge, om.rel_err)) {
       ++conflicts_;
       continue;
     }

@@ -69,7 +69,10 @@ class HealthStore {
 
   // Merges another store in (fleet rollup, snapshot import). Counters and
   // histogram buckets add; gauges take the fresher (higher-seq) reading per
-  // device; device sets union.
+  // device; device sets union. A metric whose shape conflicts with the
+  // stored one by FoldEntry's rule (kind, gauge merge rule, histogram
+  // rel_err) is skipped and counted as a conflict, so a merged view never
+  // holds a mix no single collector would have folded.
   void MergeFrom(const HealthStore& o);
 
   const Metric* Find(std::string_view name) const;

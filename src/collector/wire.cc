@@ -25,6 +25,23 @@ void PutU32(std::vector<uint8_t>* out, uint32_t v) {
   }
 }
 
+void PutU32s(std::vector<uint8_t>* out, std::span<const uint32_t> v) {
+  const size_t at = out->size();
+  out->resize(at + 4 * v.size());
+  uint8_t* p = out->data() + at;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!v.empty()) {
+      std::memcpy(p, v.data(), 4 * v.size());
+    }
+  } else {
+    for (uint32_t x : v) {
+      for (int i = 0; i < 4; ++i) {
+        *p++ = static_cast<uint8_t>((x >> (8 * i)) & 0xff);
+      }
+    }
+  }
+}
+
 void PutU64(std::vector<uint8_t>* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
@@ -60,6 +77,26 @@ bool ByteReader::ReadU32(uint32_t* v) {
        (static_cast<uint32_t>(data_[pos_ + 2]) << 16) |
        (static_cast<uint32_t>(data_[pos_ + 3]) << 24);
   pos_ += 4;
+  return true;
+}
+
+bool ByteReader::ReadU32s(std::span<uint32_t> out) {
+  if (remaining() / 4 < out.size()) {
+    return false;
+  }
+  const uint8_t* p = data_.data() + pos_;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) {
+      std::memcpy(out.data(), p, 4 * out.size());
+    }
+  } else {
+    for (uint32_t& x : out) {
+      x = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+          (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+      p += 4;
+    }
+  }
+  pos_ += 4 * out.size();
   return true;
 }
 

@@ -71,6 +71,8 @@ constexpr size_t kMaxTraceHops = 8;
 void PutU8(std::vector<uint8_t>* out, uint8_t v);
 void PutU16(std::vector<uint8_t>* out, uint16_t v);
 void PutU32(std::vector<uint8_t>* out, uint32_t v);
+// Appends `v` as consecutive u32s with one resize (bulk PutU32).
+void PutU32s(std::vector<uint8_t>* out, std::span<const uint32_t> v);
 void PutU64(std::vector<uint8_t>* out, uint64_t v);
 void PutF32(std::vector<uint8_t>* out, float v);
 void PutF64(std::vector<uint8_t>* out, double v);
@@ -85,6 +87,9 @@ class ByteReader {
   bool ReadU8(uint8_t* v);
   bool ReadU16(uint16_t* v);
   bool ReadU32(uint32_t* v);
+  // Fills `out` from consecutive u32s in one bounds check; false (nothing
+  // consumed) if fewer than out.size() remain.
+  bool ReadU32s(std::span<uint32_t> out);
   bool ReadU64(uint64_t* v);
   bool ReadF32(float* v);
   bool ReadF64(double* v);

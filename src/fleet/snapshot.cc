@@ -22,21 +22,41 @@ using mopcollect::CollectorServer;
 using mopcollect::CollectorState;
 
 uint32_t Crc32(std::span<const uint8_t> data) {
-  // CRC-32/IEEE, reflected, table built on first use.
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  // CRC-32/IEEE, reflected, sliced by 8. Table 0 is the byte-wise table;
+  // table k advances a byte's contribution through k more zero bytes, so
+  // one 8-byte block costs eight lookups. Built on first use.
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (size_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xffu] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
+  auto le32 = [](const uint8_t* p) {
+    return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+           (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+  };
   uint32_t crc = 0xffffffffu;
-  for (uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = le32(p) ^ crc;
+    const uint32_t hi = le32(p + 4);
+    crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^ tables[5][(lo >> 16) & 0xffu] ^
+          tables[4][lo >> 24] ^ tables[3][hi & 0xffu] ^ tables[2][(hi >> 8) & 0xffu] ^
+          tables[1][(hi >> 16) & 0xffu] ^ tables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = tables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
@@ -119,14 +139,12 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   for (const auto& [key, entry] : entries) {
     mopcollect::PutU64(&payload, key.Packed());
     mopcollect::PutF64(&payload, entry->sum_ms);
-    auto log = entry->quantiles.state();
-    mopcollect::PutU64(&payload, log.total);
-    mopcollect::PutU64(&payload, log.zero_or_less);
-    mopcollect::PutU32(&payload, std::bit_cast<uint32_t>(log.lo_index));
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(log.counts.size()));
-    for (uint32_t c : log.counts) {
-      mopcollect::PutU32(&payload, c);
-    }
+    const moputil::LogQuantile& log = entry->quantiles;
+    mopcollect::PutU64(&payload, log.count());
+    mopcollect::PutU64(&payload, log.zero_or_less());
+    mopcollect::PutU32(&payload, std::bit_cast<uint32_t>(log.lo_index()));
+    mopcollect::PutU32(&payload, static_cast<uint32_t>(log.buckets().size()));
+    mopcollect::PutU32s(&payload, log.buckets());
   }
 
   // ---- Telemetry dedup, telemetry counters, crowd health ----
@@ -366,11 +384,11 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
       return Corrupt("log buckets out of range");
     }
     log.counts.resize(bucket_count);
+    if (!r.ReadU32s(log.counts)) {
+      return Corrupt("truncated log buckets");
+    }
     uint64_t bucket_sum = 0;
-    for (uint32_t& c : log.counts) {
-      if (!r.ReadU32(&c)) {
-        return Corrupt("truncated log buckets");
-      }
+    for (uint32_t c : log.counts) {
       bucket_sum += c;
     }
     // Internal consistency: the sketch's buckets add up to its total, and in

@@ -66,10 +66,35 @@ void LogQuantile::MergeFrom(const LogQuantile& o) {
   assert(log_gamma_ == o.log_gamma_ && "merging sketches with different rel_err");
   total_ += o.total_;
   zero_or_less_ += o.zero_or_less_;
-  for (size_t i = 0; i < o.counts_.size(); ++i) {
-    if (o.counts_[i] != 0) {
-      BucketAt(o.lo_index_ + static_cast<int>(i)) += o.counts_[i];
-    }
+  // Only the source's occupied span (first to last non-zero bucket) widens
+  // this sketch: a Restore()d source may carry zero buckets at either end.
+  size_t first = 0;
+  size_t last = o.counts_.size();
+  while (first < last && o.counts_[first] == 0) {
+    ++first;
+  }
+  while (last > first && o.counts_[last - 1] == 0) {
+    --last;
+  }
+  if (first == last) {
+    return;
+  }
+  const int src_lo = o.lo_index_ + static_cast<int>(first);
+  const int src_end = o.lo_index_ + static_cast<int>(last);
+  if (counts_.empty()) {
+    lo_index_ = src_lo;  // an empty span sits anywhere: put it at the source's
+  }
+  // Widen once to the union of both spans, then add bucket-wise.
+  const int lo = std::min(lo_index_, src_lo);
+  const int end = std::max(lo_index_ + static_cast<int>(counts_.size()), src_end);
+  counts_.reserve(static_cast<size_t>(end - lo));
+  counts_.insert(counts_.begin(), static_cast<size_t>(lo_index_ - lo), 0);
+  counts_.resize(static_cast<size_t>(end - lo), 0);
+  lo_index_ = lo;
+  uint32_t* dst = counts_.data() + (src_lo - lo_index_);
+  const uint32_t* src = o.counts_.data() + first;
+  for (size_t i = 0; i < last - first; ++i) {
+    dst[i] += src[i];
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,11 +66,20 @@ class LogQuantile {
 
   void Add(double x);
   // Bucket-wise addition: log-bucket sketches merge losslessly — the merged
-  // sketch equals one fed both streams, in any order. Both sketches must
-  // share the same rel_err (asserted via bucket geometry).
+  // state equals that of one sketch fed both streams, in any order. The
+  // target widens once, to the union of its own span and the source's
+  // occupied span (first to last non-zero bucket), and then adds in one flat
+  // loop; zero buckets at the ends of a Restore()d source never widen it.
+  // Both sketches must share the same rel_err (asserted via bucket
+  // geometry).
   void MergeFrom(const LogQuantile& o);
   State state() const { return {total_, zero_or_less_, lo_index_, counts_}; }
   void Restore(State s);
+
+  // The state's fields read in place (state() copies the buckets).
+  uint64_t zero_or_less() const { return zero_or_less_; }
+  int32_t lo_index() const { return lo_index_; }
+  std::span<const uint32_t> buckets() const { return counts_; }
 
   size_t count() const { return static_cast<size_t>(total_); }
   // Quantile estimate for `percentile` in [0, 100]. Requires count() > 0.

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -885,6 +886,93 @@ TEST(HealthStore, MergeFromResolvesGaugesBySeqWrapAware) {
   ASSERT_TRUE(x.CounterValue("mopeye_device_made_total", &v));
   EXPECT_EQ(v, 6u);
   EXPECT_EQ(x.device_count(), 2u);
+}
+
+// MergeFrom applies FoldEntry's shape rule: merging two stores gives the
+// conflicts and values folding both streams into one store gives.
+TEST(HealthStore, MergeFromRefusesShapesFoldEntryRefuses) {
+  mopcollect::WireHealthEntry h;
+  h.name = "mopeye_device_rtt_ms";
+  h.kind = 2;
+  auto hist = [&h](double rel_err, uint64_t count) {
+    h.rel_err = rel_err;
+    h.buckets = {{100, count}};
+    return h;
+  };
+  mopcollect::WireHealthEntry g;
+  g.name = "mopeye_device_queue_depth";
+  g.kind = 1;
+  auto gauge = [&g](uint8_t merge, uint64_t value) {
+    g.merge = merge;
+    g.value = value;
+    return g;
+  };
+
+  mopcollect::HealthStore folded;
+  folded.FoldEntry(1, 1, hist(0.02, 5));
+  folded.FoldEntry(2, 1, hist(0.01, 7));
+  folded.FoldEntry(1, 1, gauge(0, 10));
+  folded.FoldEntry(2, 1, gauge(1, 20));
+  ASSERT_EQ(folded.conflicts(), 2u);
+
+  mopcollect::HealthStore first, second;
+  first.FoldEntry(1, 1, hist(0.02, 5));
+  first.FoldEntry(1, 1, gauge(0, 10));
+  second.FoldEntry(2, 1, hist(0.01, 7));
+  second.FoldEntry(2, 1, gauge(1, 20));
+  first.MergeFrom(second);
+  EXPECT_EQ(first.conflicts(), 2u);
+  const auto* merged_hist = first.Find("mopeye_device_rtt_ms");
+  ASSERT_NE(merged_hist, nullptr);
+  EXPECT_EQ(merged_hist->HistCount(), 5u);
+  EXPECT_EQ(merged_hist->rel_err, 0.02);
+  uint64_t v = 0;
+  ASSERT_TRUE(first.GaugeValue("mopeye_device_queue_depth", &v));
+  EXPECT_EQ(v, 10u);
+  EXPECT_EQ(first.metrics(), folded.metrics());
+
+  // A histogram with no geometry yet takes the other's; equal shapes add.
+  mopcollect::HealthStore unset, set;
+  unset.FoldEntry(1, 1, hist(0, 3));
+  set.FoldEntry(2, 1, hist(0.02, 4));
+  unset.MergeFrom(set);
+  EXPECT_EQ(unset.conflicts(), 0u);
+  EXPECT_EQ(unset.Find("mopeye_device_rtt_ms")->HistCount(), 7u);
+  EXPECT_EQ(unset.Find("mopeye_device_rtt_ms")->rel_err, 0.02);
+}
+
+// ---- Crc32 ----
+
+uint32_t ByteWiseCrc32(std::span<const uint8_t> data) {
+  uint32_t crc = 0xffffffffu;
+  for (uint8_t b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32, KnownAnswersAndAgreementWithAByteWiseReference) {
+  const std::string check = "123456789";
+  EXPECT_EQ(mopfleet::Crc32({reinterpret_cast<const uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(mopfleet::Crc32({}), 0u);
+
+  moputil::Rng rng(2017);
+  std::vector<uint8_t> buf(1u << 20);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU32());
+  }
+  // Every tail length at every alignment of an 8-byte block.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      std::span<const uint8_t> s(buf.data() + offset, len);
+      ASSERT_EQ(mopfleet::Crc32(s), ByteWiseCrc32(s)) << "offset " << offset << " len " << len;
+    }
+  }
+  EXPECT_EQ(mopfleet::Crc32(buf), ByteWiseCrc32(buf));
 }
 
 // ---- Uploader failover ----

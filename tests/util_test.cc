@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/stats.h"
@@ -235,6 +239,163 @@ TEST(LogQuantile, LegalIndexRangeCoversTheClampsAndRefusesBadGeometry) {
   EXPECT_FALSE(moputil::LogQuantile::LegalIndexRange(1e-3, 8192).has_value());
   for (double bad : {0.0, -0.5, 1.0, std::nan(""), 1e-300}) {
     EXPECT_FALSE(moputil::LogQuantile::LegalIndexRange(bad, 8192).has_value()) << bad;
+  }
+}
+
+// ---- LogQuantile::MergeFrom is state-exact ----
+
+// `n` values around `median`; a `zero_share` of them fall at or below the
+// input clamp and count as zero_or_less.
+std::vector<double> MergeStream(Rng& rng, size_t n, double median, double sigma,
+                                double zero_share) {
+  std::vector<double> xs;
+  for (size_t i = 0; i < n; ++i) {
+    xs.push_back(rng.Bernoulli(zero_share) ? 0.0 : rng.LogNormalMedian(median, sigma));
+  }
+  return xs;
+}
+
+moputil::LogQuantile Fed(std::initializer_list<const std::vector<double>*> streams) {
+  moputil::LogQuantile q(0.02);
+  for (const auto* xs : streams) {
+    for (double x : *xs) {
+      q.Add(x);
+    }
+  }
+  return q;
+}
+
+// Inclusive [first, last] index of a state's non-zero buckets; lo > hi when
+// it has none.
+moputil::LogQuantile::IndexRange Occupied(const moputil::LogQuantile::State& st) {
+  moputil::LogQuantile::IndexRange r{1, 0};
+  for (size_t i = 0; i < st.counts.size(); ++i) {
+    if (st.counts[i] != 0) {
+      const int32_t idx = st.lo_index + static_cast<int32_t>(i);
+      if (r.lo > r.hi) {
+        r.lo = idx;
+      }
+      r.hi = idx;
+    }
+  }
+  return r;
+}
+
+void ExpectSameState(const moputil::LogQuantile& got, const moputil::LogQuantile& want,
+                     const std::string& what) {
+  auto g = got.state();
+  auto w = want.state();
+  EXPECT_EQ(g.total, w.total) << what;
+  EXPECT_EQ(g.zero_or_less, w.zero_or_less) << what;
+  EXPECT_EQ(g.lo_index, w.lo_index) << what;
+  EXPECT_EQ(g.counts, w.counts) << what;
+}
+
+enum class Placement { kBelow, kAbove, kOverlapping, kInside };
+
+// A source stream placed relative to a target stream; the generated spans
+// are checked to sit where the case says before the merge is judged.
+TEST(LogQuantile, MergeIsStateExactForEveryPlacement) {
+  const std::pair<Placement, const char*> cases[] = {{Placement::kBelow, "below"},
+                                                     {Placement::kAbove, "above"},
+                                                     {Placement::kOverlapping, "overlapping"},
+                                                     {Placement::kInside, "inside"}};
+  for (const auto& [placement, name] : cases) {
+    for (uint64_t seed = 1; seed <= 25; ++seed) {
+      Rng rng(seed);
+      auto target = MergeStream(rng, 300, 50.0, placement == Placement::kInside ? 1.0 : 0.4,
+                                0.05);
+      double median = placement == Placement::kBelow         ? 0.3
+                      : placement == Placement::kAbove       ? 9000.0
+                      : placement == Placement::kOverlapping ? 110.0
+                                                             : 50.0;
+      auto source = MergeStream(rng, 200, median, placement == Placement::kInside ? 0.1 : 0.4,
+                                0.05);
+      auto t = Fed({&target}).state();
+      auto s = Fed({&source}).state();
+      auto tr = Occupied(t);
+      auto sr = Occupied(s);
+      std::string what = std::string(name) + " seed " + std::to_string(seed);
+      switch (placement) {
+        case Placement::kBelow:
+          ASSERT_LT(sr.hi, tr.lo) << what;
+          break;
+        case Placement::kAbove:
+          ASSERT_GT(sr.lo, tr.hi) << what;
+          break;
+        case Placement::kOverlapping:
+          ASSERT_TRUE(sr.lo > tr.lo && sr.lo <= tr.hi && sr.hi > tr.hi) << what;
+          break;
+        case Placement::kInside:
+          ASSERT_TRUE(sr.lo > tr.lo && sr.hi < tr.hi) << what;
+          break;
+      }
+      moputil::LogQuantile a = Fed({&target});
+      a.MergeFrom(Fed({&source}));
+      ExpectSameState(a, Fed({&target, &source}), what);
+      moputil::LogQuantile b = Fed({&source});
+      b.MergeFrom(Fed({&target}));
+      ExpectSameState(b, Fed({&target, &source}), what + " (reversed)");
+    }
+  }
+}
+
+TEST(LogQuantile, MergeIsStateExactForEmptyAndZeroOnlySketches) {
+  Rng rng(3);
+  const std::vector<double> none;
+  auto stream = MergeStream(rng, 200, 40.0, 0.5, 0.05);
+  auto zeros = MergeStream(rng, 40, 40.0, 0.5, 1.0);
+
+  moputil::LogQuantile both_empty = Fed({});
+  both_empty.MergeFrom(Fed({}));
+  ExpectSameState(both_empty, Fed({}), "empty into empty");
+
+  moputil::LogQuantile into_empty = Fed({});
+  into_empty.MergeFrom(Fed({&stream}));
+  ExpectSameState(into_empty, Fed({&stream}), "stream into empty");
+
+  moputil::LogQuantile empty_source = Fed({&stream});
+  empty_source.MergeFrom(Fed({}));
+  ExpectSameState(empty_source, Fed({&stream}), "empty into stream");
+
+  moputil::LogQuantile zero_source = Fed({&stream});
+  zero_source.MergeFrom(Fed({&zeros}));
+  ExpectSameState(zero_source, Fed({&stream, &zeros}), "zero-only into stream");
+  EXPECT_EQ(zero_source.state().zero_or_less, Fed({&stream}).state().zero_or_less + 40);
+
+  moputil::LogQuantile zero_into_empty = Fed({});
+  zero_into_empty.MergeFrom(Fed({&zeros}));
+  ExpectSameState(zero_into_empty, Fed({&zeros}), "zero-only into empty");
+  EXPECT_EQ(zero_into_empty.bucket_count(), 0u);
+}
+
+// Snapshot decoding Restore()s whatever span a file carries, zero buckets at
+// the ends included. Merging such a source widens the target only to the
+// source's occupied span.
+TEST(LogQuantile, MergeOfAZeroPaddedRestoredSourceWidensOnlyToItsOccupiedSpan) {
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    auto target = MergeStream(rng, 300, 50.0, 0.6, 0.05);
+    auto source = MergeStream(rng, 100, 70.0, 0.3, 0.05);
+    auto padded = Fed({&source}).state();
+    const size_t pad_lo = 100 + seed;
+    const size_t pad_hi = 120 + seed;
+    padded.lo_index -= static_cast<int32_t>(pad_lo);
+    padded.counts.insert(padded.counts.begin(), pad_lo, 0);
+    padded.counts.insert(padded.counts.end(), pad_hi, 0);
+    moputil::LogQuantile restored(0.02);
+    restored.Restore(padded);
+    ASSERT_LT(padded.lo_index, Occupied(Fed({&target}).state()).lo);
+    ASSERT_GT(padded.lo_index + static_cast<int32_t>(padded.counts.size()) - 1,
+              Occupied(Fed({&target}).state()).hi);
+
+    std::string what = "seed " + std::to_string(seed);
+    moputil::LogQuantile a = Fed({&target});
+    a.MergeFrom(restored);
+    ExpectSameState(a, Fed({&target, &source}), what);
+    moputil::LogQuantile into_empty(0.02);
+    into_empty.MergeFrom(restored);
+    ExpectSameState(into_empty, Fed({&source}), what + " into empty");
   }
 }
 
