@@ -1,5 +1,5 @@
 // Collector ingest microbenchmark: wire-encode cost, decode+ingest
-// throughput (records/sec) into the sharded aggregate store, per-record
+// throughput (records/sec) into the aggregate store, per-record
 // aggregate memory, and log-bucket sketch accuracy against exact
 // recomputation — the numbers that bound how much crowd traffic one
 // collector process absorbs.
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   auto world = mopcrowd::World::Default();
   moputil::Rng rng(flags.seed);
 
-  mopbench::PrintHeader("Collector ingest", "wire codec + sharded aggregate throughput");
+  mopbench::PrintHeader("Collector ingest", "wire codec + aggregate fold throughput");
 
   // ---- Generate + encode upload batches (device-clustered, like the wire) ----
   const size_t head_apps = std::min<size_t>(world.apps().size(), 24);
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   double encode_s = SecondsSince(t0);
 
   // ---- Decode + ingest ----
-  mopcollect::CollectorServer server({.shards = 16});
+  mopcollect::CollectorServer server;
   t0 = std::chrono::steady_clock::now();
   for (const auto& frame : frames) {
     auto accepted = server.IngestPayload({frame.data() + 4, frame.size() - 4});
@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
                                static_cast<double>(total_records) / ingest_s / 1e6)});
   t.AddSeparator();
   t.AddRow({"aggregate keys", moputil::WithCommas(static_cast<int64_t>(store.key_count()))});
-  t.AddRow({"shards", std::to_string(store.shard_count())});
   t.AddRow({"aggregate memory", moputil::StrFormat("%.1f KiB",
                                                    static_cast<double>(store.ApproxMemoryBytes()) /
                                                        1024.0)});

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   // The collector, listening where every device can reach it. Raw records
   // are retained only to verify the sketches below.
-  mopcollect::CollectorServer collector({.shards = 16, .retain_records = true});
+  mopcollect::CollectorServer collector({.retain_records = true});
   moppkt::SocketAddr collector_addr{moppkt::IpAddr(10, 99, 0, 1), 9000};
   collector.RegisterWith(&farm, collector_addr);
 
@@ -197,9 +197,8 @@ int main(int argc, char** argv) {
               flags.devices, static_cast<unsigned long long>(counters.connections),
               static_cast<unsigned long long>(counters.batches_ok),
               static_cast<unsigned long long>(counters.batches_rejected));
-  std::printf("aggregate store: %zu keys over %zu shards, ~%zu bytes (%.1f B/record)\n\n",
-              collector.store().key_count(), collector.store().shard_count(),
-              collector.store().ApproxMemoryBytes(),
+  std::printf("aggregate store: %zu keys, ~%zu bytes (%.1f B/record)\n\n",
+              collector.store().key_count(), collector.store().ApproxMemoryBytes(),
               counters.records_ingested > 0
                   ? static_cast<double>(collector.store().ApproxMemoryBytes()) /
                         static_cast<double>(counters.records_ingested)

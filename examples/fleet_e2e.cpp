@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   const std::string snap_dir =
       "/tmp/mopeye_fleet_e2e_" + std::to_string(getpid()) + "_";
   mopcollect::CollectorOptions copts;
-  copts.shards = 16;
   copts.durable_acks = true;  // ack only snapshot-covered folds
   const moputil::SimDuration snapshot_interval = moputil::Seconds(5);
 

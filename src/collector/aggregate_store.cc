@@ -1,81 +1,24 @@
 #include "collector/aggregate_store.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <utility>
 
 #include "crowd/dataset.h"
-#include "util/hash.h"
 
 namespace mopcollect {
 
-AggregateStore::AggregateStore(size_t shard_count)
-    : shards_(shard_count == 0 ? 1 : shard_count) {}
-
-// Keys are mixed before sharding so adjacent packed ids spread uniformly.
-size_t AggregateStore::ShardOf(uint64_t packed) const {
-  return static_cast<size_t>(moputil::Mix64(packed) % shards_.size());
-}
-
-void AggregateStore::Add(const AggregateKey& key, double rtt_ms) {
-  uint64_t packed = key.Packed();
-  shards_[ShardOf(packed)].entries[packed].Add(rtt_ms);
-  ++samples_folded_;
-}
-
 const AggregateEntry* AggregateStore::Find(const AggregateKey& key) const {
-  uint64_t packed = key.Packed();
-  const Shard& shard = shards_[ShardOf(packed)];
-  auto it = shard.entries.find(packed);
-  return it == shard.entries.end() ? nullptr : &it->second;
-}
-
-AggregateEntry& AggregateStore::MutableEntry(const AggregateKey& key) {
-  uint64_t packed = key.Packed();
-  return shards_[ShardOf(packed)].entries[packed];
-}
-
-void AggregateStore::MergeFrom(const AggregateStore& src,
-                               const std::function<AggregateKey(const AggregateKey&)>& remap) {
-  for (const Shard& shard : src.shards_) {
-    for (const auto& [packed, entry] : shard.entries) {
-      AggregateKey key = AggregateKey::Unpack(packed);
-      MutableEntry(remap ? remap(key) : key).MergeFrom(entry);
-    }
-  }
-  samples_folded_ += src.samples_folded_;
-}
-
-std::vector<std::pair<AggregateKey, const AggregateEntry*>> AggregateStore::Entries() const {
-  std::vector<std::pair<AggregateKey, const AggregateEntry*>> out;
-  out.reserve(key_count());
-  for (const Shard& shard : shards_) {
-    for (const auto& [packed, entry] : shard.entries) {
-      out.emplace_back(AggregateKey::Unpack(packed), &entry);
-    }
-  }
-  return out;
-}
-
-size_t AggregateStore::key_count() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    n += shard.entries.size();
-  }
-  return n;
+  auto it = entries_.find(key.Packed());
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 size_t AggregateStore::ApproxMemoryBytes() const {
-  // Key + entry + one bucket pointer per node; buckets for the table arrays.
-  size_t bytes = sizeof(*this) + shards_.size() * sizeof(Shard);
-  for (const Shard& shard : shards_) {
-    bytes += shard.entries.size() *
-             (sizeof(uint64_t) + sizeof(AggregateEntry) + 2 * sizeof(void*));
-    bytes += shard.entries.bucket_count() * sizeof(void*);
-    for (const auto& [packed, entry] : shard.entries) {
-      bytes += entry.quantiles.bucket_count() * sizeof(uint32_t);
-    }
+  // Key + entry + one bucket pointer per node; buckets for the table array.
+  size_t bytes = sizeof(*this) + entries_.bucket_count() * sizeof(void*);
+  for (const auto& [packed, entry] : entries_) {
+    bytes += sizeof(uint64_t) + sizeof(AggregateEntry) + 2 * sizeof(void*);
+    bytes += entry.quantiles.bucket_count() * sizeof(uint32_t);
   }
   return bytes;
 }
@@ -83,9 +26,10 @@ size_t AggregateStore::ApproxMemoryBytes() const {
 std::vector<AppStat> TcpAppStatsOf(const AggregateStore& store, const Interner& apps,
                                    size_t min_count) {
   std::unordered_map<uint16_t, AggregateEntry> by_app;
-  for (const auto& [key, entry] : store.Entries()) {
+  for (const auto& [packed, entry] : store.entries()) {
+    const AggregateKey key = AggregateKey::Unpack(packed);
     if (key.kind == static_cast<uint8_t>(mopcrowd::RecordKind::kTcp)) {
-      by_app[key.app_id].MergeFrom(*entry);
+      by_app[key.app_id].MergeFrom(entry);
     }
   }
   std::vector<AppStat> out;
@@ -105,9 +49,10 @@ std::vector<AppStat> TcpAppStatsOf(const AggregateStore& store, const Interner& 
 std::vector<IspDnsStat> IspDnsStatsOf(const AggregateStore& store, const Interner& isps,
                                       size_t min_count) {
   std::map<std::pair<uint16_t, uint8_t>, AggregateEntry> by_isp_net;
-  for (const auto& [key, entry] : store.Entries()) {
+  for (const auto& [packed, entry] : store.entries()) {
+    const AggregateKey key = AggregateKey::Unpack(packed);
     if (key.kind == static_cast<uint8_t>(mopcrowd::RecordKind::kDns)) {
-      by_isp_net[{key.isp_id, key.net_type}].MergeFrom(*entry);
+      by_isp_net[{key.isp_id, key.net_type}].MergeFrom(entry);
     }
   }
   std::vector<IspDnsStat> out;

@@ -10,13 +10,13 @@
 // matching entries at query time, which is exact because the sketches merge
 // by bucket addition (the sums to floating-point rounding).
 //
-// Entries are partitioned into hash shards. Everything runs on one
-// deterministic event loop, so shards need no locks.
+// Entries live in one hash map keyed by the packed key. Everything runs on
+// one deterministic event loop, so the map needs no lock, and readers walk it
+// in place.
 #ifndef MOPEYE_COLLECTOR_AGGREGATE_STORE_H_
 #define MOPEYE_COLLECTOR_AGGREGATE_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -83,44 +83,33 @@ struct AggregateEntry {
 
 class AggregateStore {
  public:
-  explicit AggregateStore(size_t shard_count = 16);
+  using EntryMap = std::unordered_map<uint64_t, AggregateEntry>;
 
   // Folds one RTT into the entry for `key` (creating it on first sight).
-  void Add(const AggregateKey& key, double rtt_ms);
+  void Add(const AggregateKey& key, double rtt_ms) {
+    entries_[key.Packed()].Add(rtt_ms);
+    ++samples_folded_;
+  }
 
   // Entry lookup; null when the key was never fed.
   const AggregateEntry* Find(const AggregateKey& key) const;
 
   // Mutable entry for `key`, creating it if absent (snapshot restore and
-  // store merging; regular ingest goes through Add).
-  AggregateEntry& MutableEntry(const AggregateKey& key);
+  // fleet merging; regular ingest goes through Add).
+  AggregateEntry& MutableEntry(const AggregateKey& key) { return entries_[key.Packed()]; }
 
-  // Folds every entry of `src` into this store, routing each key through
-  // `remap` first (a fleet view remaps per-collector interner ids onto its
-  // merged id spaces; pass identity to merge stores sharing interners).
-  void MergeFrom(const AggregateStore& src,
-                 const std::function<AggregateKey(const AggregateKey&)>& remap);
+  // Every entry, keyed by AggregateKey::Packed() (iteration order is
+  // unspecified).
+  const EntryMap& entries() const { return entries_; }
 
-  // All (key, entry) pairs, shard by shard (iteration order is unspecified
-  // within a shard).
-  std::vector<std::pair<AggregateKey, const AggregateEntry*>> Entries() const;
-
-  size_t key_count() const;
+  size_t key_count() const { return entries_.size(); }
   uint64_t samples_folded() const { return samples_folded_; }
   void set_samples_folded(uint64_t n) { samples_folded_ = n; }
-  size_t shard_count() const { return shards_.size(); }
-  size_t shard_key_count(size_t shard) const { return shards_[shard].entries.size(); }
   // Resident-size estimate of the aggregate state (entries + hash overhead).
   size_t ApproxMemoryBytes() const;
 
  private:
-  struct Shard {
-    std::unordered_map<uint64_t, AggregateEntry> entries;
-  };
-
-  size_t ShardOf(uint64_t packed) const;
-
-  std::vector<Shard> shards_;
+  EntryMap entries_;
   uint64_t samples_folded_ = 0;
 };
 

@@ -103,8 +103,7 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
   std::vector<uint64_t> pending_trace_ids_;
 };
 
-CollectorServer::CollectorServer(CollectorOptions opts)
-    : opts_(opts), store_(opts.shards) {}
+CollectorServer::CollectorServer(CollectorOptions opts) : opts_(opts) {}
 
 CollectorServer::~CollectorServer() = default;
 
@@ -147,7 +146,7 @@ void CollectorServer::ServeMetrics(mopnet::ServerFarm* farm, const moppkt::Socke
                            "Framing violations that reset a connection",
                            [this] { return counters_.stream_errors; });
     reg.AddExternalCounter("mopeye_collector_telemetry_frames_total",
-                           "Device telemetry frames decoded and folded",
+                           "Device telemetry frames decoded, re-deliveries included",
                            [this] { return counters_.telemetry_frames; });
     reg.AddExternalCounter("mopeye_collector_telemetry_duplicate_total",
                            "Telemetry re-deliveries acked without re-folding",
@@ -335,17 +334,9 @@ void CollectorServer::NotifyDurable() {
 void CollectorServer::IngestBatch(const WireBatch& batch) {
   // Remap the per-batch wire tables onto the global interners once, then
   // fold records through the cached mapping.
-  std::vector<uint16_t> app_map(batch.apps.size()), isp_map(batch.isps.size()),
-      country_map(batch.countries.size());
-  for (size_t i = 0; i < batch.apps.size(); ++i) {
-    app_map[i] = apps_.Intern(batch.apps[i]);
-  }
-  for (size_t i = 0; i < batch.isps.size(); ++i) {
-    isp_map[i] = isps_.Intern(batch.isps[i]);
-  }
-  for (size_t i = 0; i < batch.countries.size(); ++i) {
-    country_map[i] = countries_.Intern(batch.countries[i]);
-  }
+  const std::vector<uint16_t> app_map = apps_.InternAll(batch.apps);
+  const std::vector<uint16_t> isp_map = isps_.InternAll(batch.isps);
+  const std::vector<uint16_t> country_map = countries_.InternAll(batch.countries);
 
   for (const WireRecord& rec : batch.records) {
     uint16_t app = rec.app_idx == kNoIndex ? kNoneId : app_map[rec.app_idx];
@@ -390,7 +381,7 @@ moputil::Result<uint32_t> CollectorServer::IngestPayload(std::span<const uint8_t
     return batch.status();
   }
   uint32_t records = static_cast<uint32_t>(batch.value().records.size());
-  if (CheckAndRecordDelivery(batch.value().device_id, batch.value().batch_seq)) {
+  if (CheckAndRecord(&seen_batches_, batch.value().device_id, batch.value().batch_seq)) {
     // Re-delivery of a batch whose ack went missing: confirm receipt but do
     // not fold the records a second time. Any trace ids that rode with it
     // already got their fold spans on first delivery.
@@ -466,10 +457,6 @@ bool CollectorServer::CheckAndRecord(std::unordered_map<uint32_t, SeenBatches>* 
     seen.order.pop_front();
   }
   return false;
-}
-
-bool CollectorServer::CheckAndRecordDelivery(uint32_t device, uint32_t seq) {
-  return CheckAndRecord(&seen_batches_, device, seq);
 }
 
 }  // namespace mopcollect

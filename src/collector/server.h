@@ -4,8 +4,8 @@
 // accepts concurrent device connections (each accepted connection gets its
 // own frame reassembler). Uploaded batches are decoded, remapped from the
 // per-batch wire string tables onto global interners, and folded into the
-// sharded AggregateStore — each record folds once, inline, into the entry for
-// its (app, isp, country, net type, kind) key. Fig. 9 / Fig. 11 / Table 6
+// AggregateStore — each record folds once, inline, into the entry for its
+// (app, isp, country, net type, kind) key. Fig. 9 / Fig. 11 / Table 6
 // style queries merge those entries at query time, so they are O(keys), not
 // O(records). Malformed input never crashes the collector: the batch is
 // rejected with an error ack and the connection is reset.
@@ -45,6 +45,8 @@ class Registry;
 namespace mopcollect {
 
 struct CollectorOptions {
+  // Unused: the aggregate store is one map. Kept only because
+  // perfbench/runner/crowd.cc still sets it; ROADMAP lists its removal.
   size_t shards = 16;
   // Also keep raw records as a CrowdDataset (exact recomputation / full
   // mopcrowd analyses). Off by default: the aggregate path is the product.
@@ -101,7 +103,9 @@ class CollectorServer {
     uint64_t batches_duplicate = 0;  // re-deliveries acked without ingesting
     uint64_t records_ingested = 0;
     uint64_t stream_errors = 0;  // framing violations (oversized prefix, ...)
-    uint64_t telemetry_frames = 0;     // telemetry frames decoded and folded
+    // Telemetry frames decoded, re-deliveries included (each is counted
+    // before its dedup check; HealthStore::folds() counts the folded ones).
+    uint64_t telemetry_frames = 0;
     uint64_t telemetry_duplicate = 0;  // telemetry re-deliveries not re-folded
     uint64_t telemetry_rejected = 0;   // malformed telemetry frames (conn closed)
     uint64_t frames_skipped = 0;       // unknown types / newer telemetry formats
@@ -243,7 +247,6 @@ class CollectorServer {
   // separate sequence spaces).
   static bool CheckAndRecord(std::unordered_map<uint32_t, SeenBatches>* map,
                              uint32_t device, uint32_t seq);
-  bool CheckAndRecordDelivery(uint32_t device, uint32_t seq);
 
   std::unordered_map<uint32_t, SeenBatches> seen_batches_;
   std::unordered_map<uint32_t, SeenBatches> seen_telemetry_;

@@ -292,6 +292,15 @@ uint16_t Interner::Intern(const std::string& s) {
   return id;
 }
 
+std::vector<uint16_t> Interner::InternAll(const std::vector<std::string>& names) {
+  std::vector<uint16_t> ids;
+  ids.reserve(names.size());
+  for (const std::string& s : names) {
+    ids.push_back(Intern(s));
+  }
+  return ids;
+}
+
 uint16_t Interner::Find(const std::string& s) const {
   auto it = ids_.find(s);
   return it == ids_.end() ? kNoIndex : it->second;

@@ -120,6 +120,9 @@ class Interner {
 
   // Id for `s`, interning it if new. Returns kNoIndex once full.
   uint16_t Intern(const std::string& s);
+  // Intern() of each name in order: element i is the id of `names[i]` here,
+  // the table that remaps another interner's (or a batch's) ids onto this one.
+  std::vector<uint16_t> InternAll(const std::vector<std::string>& names);
   // Lookup without interning: the id of `s`, or kNoIndex if never seen.
   uint16_t Find(const std::string& s) const;
   // Name for an id interned earlier; any other id (kNoIndex included) maps

@@ -16,7 +16,6 @@ namespace mopfleet {
 
 using mopcollect::AggregateEntry;
 using mopcollect::AggregateKey;
-using mopcollect::AggregateStore;
 using mopcollect::ByteReader;
 using mopcollect::CollectorServer;
 using mopcollect::CollectorState;
@@ -128,16 +127,21 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
     }
   }
 
-  mopcollect::PutU32(&payload, static_cast<uint32_t>(state.store.shard_count()));
+  // The store is one map; the shard_count field keeps the layout of files
+  // written while it had hash shards.
+  mopcollect::PutU32(&payload, 1);
   mopcollect::PutU64(&payload, state.store.samples_folded());
 
-  auto entries = state.store.Entries();
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    return a.first.Packed() < b.first.Packed();
-  });
+  std::vector<std::pair<uint64_t, const AggregateEntry*>> entries;
+  entries.reserve(state.store.key_count());
+  for (const auto& [packed, entry] : state.store.entries()) {
+    entries.emplace_back(packed, &entry);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   mopcollect::PutU32(&payload, static_cast<uint32_t>(entries.size()));
-  for (const auto& [key, entry] : entries) {
-    mopcollect::PutU64(&payload, key.Packed());
+  for (const auto& [packed, entry] : entries) {
+    mopcollect::PutU64(&payload, packed);
     mopcollect::PutF64(&payload, entry->sum_ms);
     const moputil::LogQuantile& log = entry->quantiles;
     mopcollect::PutU64(&payload, log.count());
@@ -307,6 +311,7 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
       !r.ReadU64(&samples_folded) || !r.ReadU32(&entry_count)) {
     return Corrupt("truncated store header");
   }
+  // Ignored on load (see snapshot.h), but still outside input to validate.
   if (shard_count == 0 || shard_count > 65536) {
     return Corrupt("bad shard count");
   }
@@ -319,7 +324,6 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
 
   const auto entry_range =
       *moputil::LogQuantile::LegalIndexRange(AggregateEntry::kRelErr, kMaxLogBuckets);
-  state.store = AggregateStore(shard_count);
   std::unordered_set<uint64_t> legacy_rollups;
   AggregateEntry rollup_entry;  // checked like any entry, then dropped
   for (uint32_t i = 0; i < entry_count; ++i) {

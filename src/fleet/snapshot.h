@@ -17,7 +17,10 @@
 //              7 x u64 ingest counters
 //              u32 device_count, then per device:
 //                u32 device_id, u32 seq_count, seq_count x u32 (oldest first)
-//              u32 shard_count, u64 samples_folded,
+//              u32 shard_count (written as 1; on load, 0 or past 65,536 is
+//                corrupt and any other value is ignored: the store has no
+//                shards, and older encoders wrote their shard count here),
+//              u64 samples_folded,
 //              u32 entry_count, then per entry (sorted by packed key):
 //                u64 key, f64 sum,
 //                log    { u64 total, u64 zero_or_less, i32 lo_index,

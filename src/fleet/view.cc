@@ -9,8 +9,6 @@ using mopcollect::AggregateStore;
 using mopcollect::Interner;
 using mopcollect::kNoneId;
 
-FleetView::FleetView(size_t shards) : shards_(shards), merged_(shards) {}
-
 void FleetView::AttachCollector(const mopcollect::CollectorServer* server) {
   live_.push_back(server);
 }
@@ -20,7 +18,7 @@ void FleetView::AttachState(mopcollect::CollectorState state) {
 }
 
 void FleetView::Refresh() {
-  merged_ = AggregateStore(shards_);
+  merged_ = AggregateStore();
   apps_ = Interner();
   isps_ = Interner();
   countries_ = Interner();
@@ -42,30 +40,23 @@ void FleetView::MergeSource(const AggregateStore& store, const Interner& src_app
                             const Interner& src_isps, const Interner& src_countries) {
   // Remap the source's dense id spaces onto the view's: one table per axis,
   // built once, then every key translates in O(1).
-  auto build = [](const Interner& src, Interner* dst) {
-    std::vector<uint16_t> map(src.size());
-    for (size_t i = 0; i < src.size(); ++i) {
-      map[i] = dst->Intern(src.names()[i]);
-    }
-    return map;
-  };
-  std::vector<uint16_t> app_map = build(src_apps, &apps_);
-  std::vector<uint16_t> isp_map = build(src_isps, &isps_);
-  std::vector<uint16_t> country_map = build(src_countries, &countries_);
-
+  const std::vector<uint16_t> app_map = apps_.InternAll(src_apps.names());
+  const std::vector<uint16_t> isp_map = isps_.InternAll(src_isps.names());
+  const std::vector<uint16_t> country_map = countries_.InternAll(src_countries.names());
   auto translate = [](const std::vector<uint16_t>& map, uint16_t id) {
     // kNoneId lies past every interner and stays unattributed; so does any
     // other id past the source's interner rather than alias another name.
     return id < map.size() ? map[id] : kNoneId;
   };
 
-  merged_.MergeFrom(store, [&](const AggregateKey& key) {
-    AggregateKey out = key;
-    out.app_id = translate(app_map, key.app_id);
-    out.isp_id = translate(isp_map, key.isp_id);
-    out.country_id = translate(country_map, key.country_id);
-    return out;
-  });
+  for (const auto& [packed, entry] : store.entries()) {
+    AggregateKey key = AggregateKey::Unpack(packed);
+    key.app_id = translate(app_map, key.app_id);
+    key.isp_id = translate(isp_map, key.isp_id);
+    key.country_id = translate(country_map, key.country_id);
+    merged_.MutableEntry(key).MergeFrom(entry);
+  }
+  merged_.set_samples_folded(merged_.samples_folded() + store.samples_folded());
 }
 
 }  // namespace mopfleet

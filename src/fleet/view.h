@@ -3,11 +3,12 @@
 // Sources are live CollectorServers (attached by pointer, re-read on every
 // Refresh) and/or collector states of collectors that are not running here
 // (e.g. decoded snapshot files). Refresh() rebuilds one merged
-// AggregateStore: per-collector interner ids are remapped onto the view's
-// own id spaces and entries with the same remapped key are folded together —
-// sums add and the log-bucket sketches (whose totals are the counts) merge by
-// bucket addition, so any merged quantile carries the same 2% guarantee as a
-// single collector's. The per-app and per-ISP queries then merge the fine
+// AggregateStore: it walks each source's entry map in place, remaps the
+// per-collector interner ids of every key onto the view's own id spaces, and
+// folds entries with the same remapped key together — sums add and the
+// log-bucket sketches (whose totals are the counts) merge by bucket addition,
+// so any merged quantile carries the same 2% guarantee as a single
+// collector's. The per-app and per-ISP queries then merge the fine
 // keys of each row, exactly as a single collector's queries do.
 #ifndef MOPEYE_FLEET_VIEW_H_
 #define MOPEYE_FLEET_VIEW_H_
@@ -22,8 +23,6 @@ namespace mopfleet {
 
 class FleetView {
  public:
-  explicit FleetView(size_t shards = 16);
-
   // Live source: `server` must outlive the view; its current state is
   // re-read on every Refresh() (cheap polling — the stores are O(keys)).
   void AttachCollector(const mopcollect::CollectorServer* server);
@@ -65,7 +64,6 @@ class FleetView {
   void MergeSource(const mopcollect::AggregateStore& store, const mopcollect::Interner& apps,
                    const mopcollect::Interner& isps, const mopcollect::Interner& countries);
 
-  size_t shards_;
   std::vector<const mopcollect::CollectorServer*> live_;
   std::vector<mopcollect::CollectorState> offline_;
   mopcollect::AggregateStore merged_;

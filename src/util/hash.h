@@ -7,9 +7,9 @@
 namespace moputil {
 
 // splitmix64 finalizer: a full-avalanche 64-bit mixer. Used wherever nearby
-// inputs (sequential device ids, packed aggregate keys, same-subnet address
-// pairs) must spread uniformly — flow hashing, store sharding, and fleet
-// routing all share this one definition so they cannot drift apart. (Named
+// inputs (sequential device ids, trace ids, same-subnet address pairs) must
+// spread uniformly — flow hashing, trace sampling, and fleet routing all
+// share this one definition so they cannot drift apart. (Named
 // Mix64 to keep it distinct from rng.h's stateful SplitMix64 generator
 // step, which advances its state argument.)
 constexpr uint64_t Mix64(uint64_t x) {

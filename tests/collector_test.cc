@@ -1,5 +1,5 @@
 // Collector subsystem tests: wire codec round-trip and rejection, the
-// device-side uploader's size/age batching and retry/backoff, the sharded
+// device-side uploader's size/age batching and retry/backoff, the
 // aggregate store, and the full socket path from N devices into one
 // collector process.
 #include <gtest/gtest.h>
@@ -444,10 +444,14 @@ TEST(AggregateStore, InternerRoundTrip) {
   EXPECT_EQ(interner.Intern("Whatsapp"), 0);
   EXPECT_EQ(interner.Name(0), "Whatsapp");
   EXPECT_EQ(interner.Name(mopcollect::kNoneId), "(none)");
+  // InternAll: each name's id here, in order, interning the new ones.
+  EXPECT_EQ(interner.InternAll({"Youtube", "Chrome", "Whatsapp"}),
+            (std::vector<uint16_t>{1, 2, 0}));
+  EXPECT_EQ(interner.Name(2), "Chrome");
 }
 
-TEST(AggregateStore, ShardedEntriesMatchExactStats) {
-  mopcollect::AggregateStore store(/*shard_count=*/8);
+TEST(AggregateStore, EntriesMatchExactStats) {
+  mopcollect::AggregateStore store;
   moputil::Rng rng(99);
   // Three keys with distinct distributions, interleaved.
   struct KeyDist {
@@ -479,20 +483,8 @@ TEST(AggregateStore, ShardedEntriesMatchExactStats) {
   EXPECT_GT(store.ApproxMemoryBytes(), 0u);
 }
 
-TEST(AggregateStore, KeysSpreadAcrossShards) {
-  mopcollect::AggregateStore store(/*shard_count=*/8);
-  for (uint16_t app = 0; app < 64; ++app) {
-    store.Add({app, 0, 0, 0, 0}, 1.0);
-  }
-  size_t populated = 0;
-  for (size_t s = 0; s < store.shard_count(); ++s) {
-    populated += store.shard_key_count(s) > 0 ? 1 : 0;
-  }
-  EXPECT_GE(populated, 6u);  // 64 keys over 8 shards: near-uniform
-}
-
 TEST(CollectorServer, IngestFoldsEachRecordOnceAndQueriesMergeFineKeys) {
-  mopcollect::CollectorServer server({.shards = 4, .retain_records = true});
+  mopcollect::CollectorServer server({.retain_records = true});
   mopcollect::BatchBuilder b1(1);
   b1.Add(MakeMeasurement("Whatsapp", "e1.whatsapp.net", 240));
   b1.Add(MakeMeasurement("Whatsapp", "e1.whatsapp.net", 260, 0,
@@ -1018,7 +1010,7 @@ TEST(CollectorE2E, MultiDeviceIngestMatchesExactRecomputation) {
   mopnet::PathTable paths;
   paths.SetDefault(std::make_shared<moputil::FixedDelay>(Millis(10)));
   mopnet::ServerFarm farm;
-  mopcollect::CollectorServer server({.shards = 8, .retain_records = true});
+  mopcollect::CollectorServer server({.retain_records = true});
   SocketAddr addr{IpAddr(10, 99, 0, 1), 9000};
   server.RegisterWith(&farm, addr);
 

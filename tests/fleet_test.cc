@@ -182,7 +182,7 @@ TEST(FleetRouter, SpreadsSequentialDeviceIdsAcrossShards) {
 // Each record folds once, and every query row equals one entry fed the
 // whole stream of its group.
 TEST(GeneratedRecords, QueryRowsEqualOneEntryFedTheirGroup) {
-  mopcollect::CollectorServer server({.shards = 8});
+  mopcollect::CollectorServer server;
   const auto records = IngestRandomRecords(&server, /*seed=*/2017, /*batches=*/40);
   auto name = [](const std::string& s) { return s.empty() ? std::string("(none)") : s; };
   std::map<std::string, mopcollect::AggregateEntry> by_app;
@@ -237,8 +237,7 @@ TEST(GeneratedRecords, QueryRowsEqualOneEntryFedTheirGroup) {
 
 // A collector with aggregate, interner, counter, and dedup state.
 std::unique_ptr<mopcollect::CollectorServer> PopulatedCollector() {
-  auto server = std::make_unique<mopcollect::CollectorServer>(
-      mopcollect::CollectorOptions{.shards = 8});
+  auto server = std::make_unique<mopcollect::CollectorServer>();
   moputil::Rng rng(17);
   std::vector<double> whatsapp, youtube;
   for (int i = 0; i < 800; ++i) {
@@ -267,14 +266,13 @@ TEST(Snapshot, RoundTripPreservesEverything) {
   EXPECT_EQ(got.countries.names(), state.countries.names());
   EXPECT_EQ(got.store.key_count(), state.store.key_count());
   EXPECT_EQ(got.store.samples_folded(), state.store.samples_folded());
-  EXPECT_EQ(got.store.shard_count(), state.store.shard_count());
-  for (const auto& [key, entry] : state.store.Entries()) {
-    const auto* restored = got.store.Find(key);
+  for (const auto& [packed, entry] : state.store.entries()) {
+    const auto* restored = got.store.Find(mopcollect::AggregateKey::Unpack(packed));
     ASSERT_NE(restored, nullptr);
-    EXPECT_EQ(restored->count(), entry->count());
-    EXPECT_DOUBLE_EQ(restored->median_ms(), entry->median_ms());
-    EXPECT_DOUBLE_EQ(restored->p95_ms(), entry->p95_ms());
-    EXPECT_EQ(restored->sum_ms, entry->sum_ms);
+    EXPECT_EQ(restored->count(), entry.count());
+    EXPECT_DOUBLE_EQ(restored->median_ms(), entry.median_ms());
+    EXPECT_DOUBLE_EQ(restored->p95_ms(), entry.p95_ms());
+    EXPECT_EQ(restored->sum_ms, entry.sum_ms);
   }
 
   // Canonical bytes: re-encoding the decoded state reproduces the file.
@@ -384,12 +382,12 @@ TEST(Snapshot, RoundTripPreservesHealthAndTelemetryDedup) {
 //
 // tests/data/snapshot_v1.bin and snapshot_v2.bin were written by the
 // version-2 encoder (which wrote a version-1 frame while no health state
-// existed) from one collector with shards = 4. Device 7 uploaded batch 41
-// {Whatsapp/Wi-Fi 120.5 ms, Whatsapp/Wi-Fi 80.25 ms, Youtube/LTE 45 ms} and
-// batch 42 {Chrome/LTE DNS 30 ms}, all over ISP JioNet in country IN. The
-// version-2 image adds one telemetry frame (device 7, seq 43) carrying a
-// counter, a gauge and a histogram. The values below are what that encoder's
-// state held.
+// existed) from one collector with 4 hash shards, so their shard_count field
+// reads 4. Device 7 uploaded batch 41 {Whatsapp/Wi-Fi 120.5 ms,
+// Whatsapp/Wi-Fi 80.25 ms, Youtube/LTE 45 ms} and batch 42 {Chrome/LTE DNS
+// 30 ms}, all over ISP JioNet in country IN. The version-2 image adds one
+// telemetry frame (device 7, seq 43) carrying a counter, a gauge and a
+// histogram. The values below are what that encoder's state held.
 //
 // tests/data/snapshot_v3.bin was written by the version-3 encoder from the
 // version-2 file's decoded state, with its six rollup entries restored (each
@@ -448,7 +446,6 @@ void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
             0u);
   EXPECT_EQ(got.seen_batches,
             (std::vector<std::pair<uint32_t, std::vector<uint32_t>>>{{7, {41, 42}}}));
-  EXPECT_EQ(got.store.shard_count(), 4u);
   EXPECT_EQ(got.store.samples_folded(), 4u);
   EXPECT_EQ(got.store.key_count(), std::size(kEntries));
   for (const GoldenEntry& want : kEntries) {
@@ -661,13 +658,15 @@ TEST(Snapshot, RejectsOutOfRangeBucketIndexesAndEntryKeys) {
 // Only a version-1 to version-3 file may hold a wildcard rollup key, and no
 // fold produces an entry sum that is negative or not finite (the wire admits
 // only finite, non-negative RTTs), nor a moment count other than the sketch
-// total. Each forgery is refused as corrupt.
+// total. Each forgery is refused as corrupt. The store header's shard_count
+// is ignored on load but still range-checked.
 TEST(Snapshot, RejectsRollupKeysInVersion4AndImpossibleSums) {
   auto v3 = ReadFixture("snapshot_v3.bin");
   auto decoded_v3 = mopfleet::DecodeSnapshot(v3);
   ASSERT_TRUE(decoded_v3.ok()) << decoded_v3.status().ToString();
   auto v4 = mopfleet::EncodeSnapshot(decoded_v3.value());
 
+  // shard_count sits at 128: the encoder writes 1, the golden files hold 4.
   // The first entry's key sits at 144 (high word app << 16 | isp at 148);
   // its sum, 200.75 = 0x4069180000000000, follows at 152 (high word at 156).
   // In version 3 the entry's moment count follows the key at 152 and its
@@ -681,6 +680,8 @@ TEST(Snapshot, RejectsRollupKeysInVersion4AndImpossibleSums) {
     const char* error;
   };
   const Patch patches[] = {
+      {"v4 zero shard count", v4, 128, 1, 0, "bad shard count"},
+      {"v4 shard count past 65,536", v4, 128, 1, 65537, "bad shard count"},
       {"v4 wildcard rollup key", v4, 148, 0, 0xfffe, "legacy rollup key"},
       {"v4 NaN sum", v4, 156, 0x40691800, 0x7ff80000, "sum negative or not finite"},
       {"v4 infinite sum", v4, 156, 0x40691800, 0x7ff00000, "sum negative or not finite"},
@@ -701,6 +702,14 @@ TEST(Snapshot, RejectsRollupKeysInVersion4AndImpossibleSums) {
   auto rollup_v3 = v3;
   PatchU32(&rollup_v3, 148, 0xfffe);
   EXPECT_TRUE(mopfleet::DecodeSnapshot(rollup_v3).ok());
+  ASSERT_EQ(U32At(v3, 128), 4u);
+  // Any other shard count loads, as 16 (what encoders with a sharded store
+  // wrote) shows: the value is dropped, so re-encoding writes 1 again.
+  auto sharded = v4;
+  PatchU32(&sharded, 128, 16);
+  auto from_sharded = mopfleet::DecodeSnapshot(sharded);
+  ASSERT_TRUE(from_sharded.ok()) << from_sharded.status().ToString();
+  EXPECT_EQ(mopfleet::EncodeSnapshot(from_sharded.value()), v4);
 }
 
 // Encoders before version 4 also wrote, per fine key, a per-app and a
@@ -1038,7 +1047,7 @@ TEST(UploaderFailover, RotatesToNextShardOnConnectBackoffExhaustion) {
 // can recognize the re-delivery.
 TEST(UploaderFailover, PossiblyDeliveredFramesStayPinnedToTheirCollector) {
   TwoCollectorFixture f;
-  mopcollect::CollectorServer durable({.shards = 16, .durable_acks = true});
+  mopcollect::CollectorServer durable({.durable_acks = true});
   durable.RegisterWith(&f.farm, f.primary_addr);
   f.secondary.RegisterWith(&f.farm, f.secondary_addr);
 
@@ -1086,7 +1095,7 @@ TEST(CrashRecovery, CollectorRestartsFromSnapshotWithoutLossOrDoubleCount) {
   std::string path = TmpPath("crash");
   const int kRecords = 200;
 
-  auto opts = mopcollect::CollectorOptions{.shards = 16, .durable_acks = true};
+  auto opts = mopcollect::CollectorOptions{.durable_acks = true};
   auto server = std::make_unique<mopcollect::CollectorServer>(opts);
   server->RegisterWith(&f.farm, f.primary_addr);
   auto snapshotter = std::make_unique<mopfleet::Snapshotter>(&f.loop, server.get(), path,
