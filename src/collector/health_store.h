@@ -7,9 +7,10 @@
 // every rollup is *exact* — equal to summing the per-device registries
 // in-process — which fleet_e2e asserts in CI.
 //
-// Value-semantic and single-threaded (collector event-loop owned; copied
-// whole by ExportState/snapshots). It holds the few metrics the device
-// allowlist exports in one name-keyed map.
+// Value-semantic and single-threaded (collector event-loop owned). It is
+// part of the collector's CollectorState, which snapshots encode in place
+// and restarts move back in. It holds the few metrics the device allowlist
+// exports in one name-keyed map.
 #ifndef MOPEYE_COLLECTOR_HEALTH_STORE_H_
 #define MOPEYE_COLLECTOR_HEALTH_STORE_H_
 

@@ -1,6 +1,5 @@
 #include "collector/server.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -24,7 +23,7 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
       conn.Reset();
       return;
     }
-    ++server_->counters_.connections;
+    ++server_->state_.connections;
     server_->live_conns_[this] = conn.weak_from_this();
   }
 
@@ -35,7 +34,7 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
     }
     reader_.Feed(data);
     while (auto payload = reader_.Next()) {
-      ++server_->counters_.frames;
+      ++server_->state_.frames;
       // Forward-compat dispatch: a valid header whose type this collector
       // does not fold is skipped (not nacked, not a stream error), so a
       // newer device talking to an older collector loses enrichment only.
@@ -47,14 +46,14 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
           if (!st.ok()) {
             // Malformed telemetry poisons the stream like a malformed
             // batch: close (no ack — telemetry has none to give).
-            ++server_->counters_.telemetry_rejected;
+            ++server_->state_.telemetry_rejected;
             conn.Close();
             return;
           }
           continue;  // no ack: the following batch's ack covers it
         }
         if (raw_type.value() > static_cast<uint8_t>(FrameType::kTelemetry)) {
-          ++server_->counters_.frames_skipped;
+          ++server_->state_.frames_skipped;
           continue;
         }
       }
@@ -84,7 +83,7 @@ class CollectorServer::Behavior : public mopnet::ServerBehavior {
     }
     if (!reader_.status().ok()) {
       // Framing violation (oversized length prefix): nothing sane to ack.
-      ++server_->counters_.stream_errors;
+      ++server_->state_.stream_errors;
       conn.Reset();
     }
   }
@@ -126,50 +125,52 @@ void CollectorServer::ServeMetrics(mopnet::ServerFarm* farm, const moppkt::Socke
     moptel::Registry& reg = *registry_;
     reg.AddExternalCounter("mopeye_collector_connections_total",
                            "Upload connections accepted",
-                           [this] { return counters_.connections; });
+                           [this] { return state_.connections; });
     reg.AddExternalCounter("mopeye_collector_frames_total",
                            "Upload frames reassembled",
-                           [this] { return counters_.frames; });
+                           [this] { return state_.frames; });
     reg.AddExternalCounter("mopeye_collector_batches_ok_total",
                            "Batches decoded and folded",
-                           [this] { return counters_.batches_ok; });
+                           [this] { return state_.batches_ok; });
     reg.AddExternalCounter("mopeye_collector_batches_rejected_total",
                            "Malformed batches nacked",
-                           [this] { return counters_.batches_rejected; });
+                           [this] { return state_.batches_rejected; });
     reg.AddExternalCounter("mopeye_collector_batches_duplicate_total",
                            "Re-deliveries acked without re-folding",
-                           [this] { return counters_.batches_duplicate; });
+                           [this] { return state_.batches_duplicate; });
     reg.AddExternalCounter("mopeye_collector_records_ingested_total",
                            "Records folded into the aggregate store",
-                           [this] { return counters_.records_ingested; });
+                           [this] { return state_.records_ingested; });
     reg.AddExternalCounter("mopeye_collector_stream_errors_total",
                            "Framing violations that reset a connection",
-                           [this] { return counters_.stream_errors; });
+                           [this] { return state_.stream_errors; });
     reg.AddExternalCounter("mopeye_collector_telemetry_frames_total",
                            "Device telemetry frames decoded, re-deliveries included",
-                           [this] { return counters_.telemetry_frames; });
+                           [this] { return state_.telemetry_frames; });
     reg.AddExternalCounter("mopeye_collector_telemetry_duplicate_total",
                            "Telemetry re-deliveries acked without re-folding",
-                           [this] { return counters_.telemetry_duplicate; });
+                           [this] { return state_.telemetry_duplicate; });
     reg.AddExternalCounter("mopeye_collector_telemetry_rejected_total",
                            "Malformed telemetry frames (connection closed)",
-                           [this] { return counters_.telemetry_rejected; });
+                           [this] { return state_.telemetry_rejected; });
     reg.AddExternalCounter("mopeye_collector_frames_skipped_total",
                            "Frames of unknown types or newer telemetry formats skipped",
-                           [this] { return counters_.frames_skipped; });
+                           [this] { return state_.frames_skipped; });
     folds_applied_ = reg.AddCounter("mopeye_collector_folds_applied_total",
                                     "Aggregate folds applied, one per ingested record");
     batch_records_ = reg.AddHistogram("mopeye_collector_batch_records",
                                       "Records per accepted batch");
     reg.AddExternalGauge("mopeye_collector_store_keys",
                          "Distinct aggregate keys resident",
-                         [this] { return static_cast<uint64_t>(store_.key_count()); });
+                         [this] { return static_cast<uint64_t>(state_.store.key_count()); });
     reg.AddExternalGauge("mopeye_collector_pending_acks",
                          "Acks withheld until the next durable snapshot",
                          [this] { return static_cast<uint64_t>(pending_acks_.size()); });
     reg.AddExternalGauge("mopeye_collector_tracked_devices",
                          "Devices with live duplicate-delivery windows",
-                         [this] { return static_cast<uint64_t>(seen_batches_.size()); });
+                         [this] {
+                           return static_cast<uint64_t>(state_.seen_batches.devices().size());
+                         });
     reg.AddExternalGauge("mopeye_collector_traces_retained",
                          "Sampled record traces resident in the trace store",
                          [this] { return static_cast<uint64_t>(traces_.size()); });
@@ -180,7 +181,7 @@ void CollectorServer::ServeMetrics(mopnet::ServerFarm* farm, const moppkt::Socke
   // health rollups, so a single endpoint answers both "how is this
   // collector" and "how is the fleet's device population".
   moptel::ServeText(farm, addr, [this] {
-    return registry_->RenderText() + health_.RenderText();
+    return registry_->RenderText() + state_.health.RenderText();
   });
 }
 
@@ -227,87 +228,20 @@ void CollectorServer::Shutdown() {
   }
 }
 
-CollectorState CollectorServer::ExportState() const {
+const CollectorState& CollectorServer::ExportState() const {
   if (recorder_ != nullptr) {
     recorder_->Record(0, TelemetryNow(), moptel::TraceKind::kSnapshot, "state-export",
-                      store_.key_count(), counters_.records_ingested);
+                      state_.store.key_count(), state_.records_ingested);
   }
-  CollectorState s;
-  s.store = store_;
-  s.apps = apps_;
-  s.isps = isps_;
-  s.countries = countries_;
-  s.seen_batches.reserve(seen_batches_.size());
-  for (const auto& [device, seen] : seen_batches_) {
-    s.seen_batches.emplace_back(device,
-                                std::vector<uint32_t>(seen.order.begin(), seen.order.end()));
-  }
-  // Canonical order: the map iterates in hash order, which would make
-  // snapshot bytes depend on stdlib internals.
-  std::sort(s.seen_batches.begin(), s.seen_batches.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  s.seen_telemetry.reserve(seen_telemetry_.size());
-  for (const auto& [device, seen] : seen_telemetry_) {
-    s.seen_telemetry.emplace_back(
-        device, std::vector<uint32_t>(seen.order.begin(), seen.order.end()));
-  }
-  std::sort(s.seen_telemetry.begin(), s.seen_telemetry.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  s.health = health_;
-  s.connections = counters_.connections;
-  s.frames = counters_.frames;
-  s.batches_ok = counters_.batches_ok;
-  s.batches_rejected = counters_.batches_rejected;
-  s.batches_duplicate = counters_.batches_duplicate;
-  s.records_ingested = counters_.records_ingested;
-  s.stream_errors = counters_.stream_errors;
-  s.telemetry_frames = counters_.telemetry_frames;
-  s.telemetry_duplicate = counters_.telemetry_duplicate;
-  s.telemetry_rejected = counters_.telemetry_rejected;
-  s.frames_skipped = counters_.frames_skipped;
-  return s;
+  return state_;
 }
 
-void CollectorServer::ImportState(CollectorState state) {
+void CollectorServer::ImportState(CollectorState&& state) {
   if (recorder_ != nullptr) {
     recorder_->Record(0, TelemetryNow(), moptel::TraceKind::kSnapshot, "state-import",
                       state.store.key_count(), state.records_ingested);
   }
-  store_ = std::move(state.store);
-  apps_ = std::move(state.apps);
-  isps_ = std::move(state.isps);
-  countries_ = std::move(state.countries);
-  seen_batches_.clear();
-  for (auto& [device, seqs] : state.seen_batches) {
-    SeenBatches& seen = seen_batches_[device];
-    for (uint32_t seq : seqs) {
-      if (seen.set.insert(seq).second) {
-        seen.order.push_back(seq);
-      }
-    }
-  }
-  seen_telemetry_.clear();
-  for (auto& [device, seqs] : state.seen_telemetry) {
-    SeenBatches& seen = seen_telemetry_[device];
-    for (uint32_t seq : seqs) {
-      if (seen.set.insert(seq).second) {
-        seen.order.push_back(seq);
-      }
-    }
-  }
-  health_ = std::move(state.health);
-  counters_ = Counters();
-  counters_.connections = state.connections;
-  counters_.frames = state.frames;
-  counters_.batches_ok = state.batches_ok;
-  counters_.batches_rejected = state.batches_rejected;
-  counters_.batches_duplicate = state.batches_duplicate;
-  counters_.records_ingested = state.records_ingested;
-  counters_.stream_errors = state.stream_errors;
-  counters_.telemetry_frames = state.telemetry_frames;
-  counters_.telemetry_duplicate = state.telemetry_duplicate;
-  counters_.telemetry_rejected = state.telemetry_rejected;
-  counters_.frames_skipped = state.frames_skipped;
+  state_ = std::move(state);
 }
 
 void CollectorServer::NotifyDurable() {
@@ -334,16 +268,16 @@ void CollectorServer::NotifyDurable() {
 void CollectorServer::IngestBatch(const WireBatch& batch) {
   // Remap the per-batch wire tables onto the global interners once, then
   // fold records through the cached mapping.
-  const std::vector<uint16_t> app_map = apps_.InternAll(batch.apps);
-  const std::vector<uint16_t> isp_map = isps_.InternAll(batch.isps);
-  const std::vector<uint16_t> country_map = countries_.InternAll(batch.countries);
+  const std::vector<uint16_t> app_map = state_.apps.InternAll(batch.apps);
+  const std::vector<uint16_t> isp_map = state_.isps.InternAll(batch.isps);
+  const std::vector<uint16_t> country_map = state_.countries.InternAll(batch.countries);
 
   for (const WireRecord& rec : batch.records) {
     uint16_t app = rec.app_idx == kNoIndex ? kNoneId : app_map[rec.app_idx];
     uint16_t isp = rec.isp_idx == kNoIndex ? kNoneId : isp_map[rec.isp_idx];
     uint16_t country = rec.country_idx == kNoIndex ? kNoneId : country_map[rec.country_idx];
-    store_.Add({app, isp, country, rec.net_type, rec.kind}, rec.rtt_ms);
-    ++counters_.records_ingested;
+    state_.store.Add({app, isp, country, rec.net_type, rec.kind}, rec.rtt_ms);
+    ++state_.records_ingested;
 
     if (opts_.retain_records) {
       mopcrowd::CrowdRecord cr;
@@ -377,19 +311,19 @@ moputil::Result<uint32_t> CollectorServer::IngestPayload(std::span<const uint8_t
                                                          std::vector<uint64_t> trace_ids) {
   auto batch = DecodeBatchPayload(payload);
   if (!batch.ok()) {
-    ++counters_.batches_rejected;
+    ++state_.batches_rejected;
     return batch.status();
   }
   uint32_t records = static_cast<uint32_t>(batch.value().records.size());
-  if (CheckAndRecord(&seen_batches_, batch.value().device_id, batch.value().batch_seq)) {
+  if (state_.seen_batches.CheckAndRecord(batch.value().device_id, batch.value().batch_seq)) {
     // Re-delivery of a batch whose ack went missing: confirm receipt but do
     // not fold the records a second time. Any trace ids that rode with it
     // already got their fold spans on first delivery.
-    ++counters_.batches_duplicate;
+    ++state_.batches_duplicate;
     return records;
   }
   IngestBatch(batch.value());
-  ++counters_.batches_ok;
+  ++state_.batches_ok;
   if (batch_records_ != nullptr) {
     batch_records_->Observe(0, static_cast<double>(records));
   }
@@ -413,18 +347,18 @@ moputil::Status CollectorServer::IngestTelemetry(std::span<const uint8_t> payloa
     if (decoded.status().code() == moputil::StatusCode::kUnimplemented) {
       // Newer telemetry format than this collector speaks: lose the
       // enrichment, keep the stream (and the batch behind it).
-      ++counters_.frames_skipped;
+      ++state_.frames_skipped;
       return moputil::Status();
     }
     return decoded.status();
   }
   const WireTelemetry& t = decoded.value();
-  ++counters_.telemetry_frames;
-  if (CheckAndRecord(&seen_telemetry_, t.device_id, t.seq)) {
-    ++counters_.telemetry_duplicate;
+  ++state_.telemetry_frames;
+  if (state_.seen_telemetry.CheckAndRecord(t.device_id, t.seq)) {
+    ++state_.telemetry_duplicate;
     return moputil::Status();
   }
-  health_.Fold(t);
+  state_.health.Fold(t);
   int64_t now = TelemetryNow();
   for (const WireTraceEntry& te : t.traces) {
     // Device-side spans first (arrival order = lifecycle order), then the
@@ -442,20 +376,23 @@ moputil::Status CollectorServer::IngestTelemetry(std::span<const uint8_t> payloa
   return moputil::Status();
 }
 
-bool CollectorServer::CheckAndRecord(std::unordered_map<uint32_t, SeenBatches>* map,
-                                     uint32_t device, uint32_t seq) {
-  if (map->size() >= kMaxTrackedDevices && !map->contains(device)) {
-    map->erase(map->begin());
+bool DedupWindows::CheckAndRecord(uint32_t device, uint32_t seq) {
+  auto it = devices_.find(device);
+  if (it == devices_.end()) {
+    if (devices_.size() >= kMaxTrackedDevices) {
+      devices_.erase(devices_.begin());
+    }
+    it = devices_.try_emplace(device).first;
   }
-  SeenBatches& seen = (*map)[device];
+  Window& seen = it->second;
   if (!seen.set.insert(seq).second) {
     return true;
   }
-  seen.order.push_back(seq);
-  if (seen.order.size() > kSeenBatchWindow) {
+  if (seen.order.size() == kSeenBatchWindow) {
     seen.set.erase(seen.order.front());
-    seen.order.pop_front();
+    seen.order.erase(seen.order.begin());
   }
+  seen.order.push_back(seq);
   return false;
 }
 

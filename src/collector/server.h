@@ -10,6 +10,11 @@
 // O(records). Malformed input never crashes the collector: the batch is
 // rejected with an error ack and the connection is reset.
 //
+// Everything durable (store, interners, ingest counters, dedup windows,
+// crowd health) is one CollectorState that ingest folds into directly. A
+// snapshot (fleet/snapshot.h) encodes that state in place, and a restart
+// moves a decoded one back in; there is no second copy to keep in step.
+//
 // For analyses that need raw records (and for validating the sketches
 // against exact recomputation), `retain_records` additionally accumulates a
 // mopcrowd::CrowdDataset, so every mopcrowd analysis runs unchanged against
@@ -18,7 +23,7 @@
 #define MOPEYE_COLLECTOR_SERVER_H_
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -61,59 +66,78 @@ struct CollectorOptions {
   bool durable_acks = false;
 };
 
-// The collector state a snapshot captures: the aggregate store, the global
-// interners the keys index into, the ingest counters, and the per-device
-// duplicate-delivery windows (without which a restart would re-fold batches
-// whose ack was lost in the crash). The retained CrowdDataset is an analysis
-// adapter, not durable state, and is deliberately excluded.
-struct CollectorState {
-  AggregateStore store;
-  Interner apps, isps, countries;
-  // Per device: remembered batch_seq values, oldest first (insertion order,
-  // so the restore rebuilds identical eviction windows). Sorted by device id
-  // for canonical snapshot bytes.
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> seen_batches;
-  // Telemetry dedup windows, same shape as seen_batches (separate sequence
-  // space: telemetry frames carry the seq of the batch they precede, but a
-  // health fold must dedup independently of the batch fold).
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> seen_telemetry;
-  // Crowd health rollups (exact; see health_store.h). Restored whole so a
-  // collector restart keeps its crowd-health history.
-  HealthStore health;
+// The ingest counters, declared once: a CollectorState carries them into
+// every snapshot, and CollectorServer::counters() serves the live ones.
+struct CollectorCounters {
   uint64_t connections = 0;
   uint64_t frames = 0;
   uint64_t batches_ok = 0;
   uint64_t batches_rejected = 0;
-  uint64_t batches_duplicate = 0;
+  uint64_t batches_duplicate = 0;  // re-deliveries acked without ingesting
   uint64_t records_ingested = 0;
-  uint64_t stream_errors = 0;
+  uint64_t stream_errors = 0;  // framing violations (oversized prefix, ...)
+  // Telemetry frames decoded, re-deliveries included (each is counted
+  // before its dedup check; HealthStore::folds() counts the folded ones).
   uint64_t telemetry_frames = 0;
-  uint64_t telemetry_duplicate = 0;
-  uint64_t telemetry_rejected = 0;
-  uint64_t frames_skipped = 0;
+  uint64_t telemetry_duplicate = 0;  // telemetry re-deliveries not re-folded
+  uint64_t telemetry_rejected = 0;   // malformed telemetry frames (conn closed)
+  uint64_t frames_skipped = 0;       // unknown types / newer telemetry formats
+};
+
+// Per-device duplicate-delivery windows: the (device_id, seq) pairs already
+// folded. Bounded on both axes so hostile (device_id, seq) churn cannot
+// exhaust collector memory: per device only the most recent
+// kSeenBatchWindow seqs are remembered (uploaders deliver sequentially, so a
+// re-delivery is always recent), and at most kMaxTrackedDevices devices are
+// tracked (beyond that the lowest device id is evicted; an evicted device's
+// re-delivery degrades to a double-count, not OOM). CheckAndRecord is the
+// only mutator, so live and restored windows alike keep both bounds. Kept
+// in device order, so a snapshot encodes it as it stands.
+class DedupWindows {
+ public:
+  static constexpr size_t kSeenBatchWindow = 1024;
+  static constexpr size_t kMaxTrackedDevices = 1 << 16;
+
+  struct Window {
+    std::unordered_set<uint32_t> set;
+    std::vector<uint32_t> order;  // oldest first: the eviction order
+
+    bool operator==(const Window&) const = default;
+  };
+
+  // True if (device, seq) was already recorded; records it otherwise.
+  bool CheckAndRecord(uint32_t device, uint32_t seq);
+
+  const std::map<uint32_t, Window>& devices() const { return devices_; }
+
+  bool operator==(const DedupWindows&) const = default;
+
+ private:
+  std::map<uint32_t, Window> devices_;
+};
+
+// Everything a collector must not lose across a restart: the aggregate
+// store, the global interners its keys index into, the ingest counters, the
+// duplicate-delivery windows (without which a restart would re-fold batches
+// whose ack was lost in the crash), and the crowd-health rollups.
+// CollectorServer folds into one of these directly and snapshots encode it
+// in place. The retained CrowdDataset is an analysis adapter, not durable
+// state, and is deliberately excluded.
+struct CollectorState : CollectorCounters {
+  AggregateStore store;
+  Interner apps, isps, countries;
+  DedupWindows seen_batches;
+  // Separate sequence space: telemetry frames carry the seq of the batch
+  // they precede, but a health fold must dedup independently of the batch
+  // fold.
+  DedupWindows seen_telemetry;
+  // Crowd health rollups (exact; see health_store.h).
+  HealthStore health;
 };
 
 class CollectorServer {
  public:
-  struct Counters {
-    uint64_t connections = 0;
-    uint64_t frames = 0;
-    uint64_t batches_ok = 0;
-    uint64_t batches_rejected = 0;
-    uint64_t batches_duplicate = 0;  // re-deliveries acked without ingesting
-    uint64_t records_ingested = 0;
-    uint64_t stream_errors = 0;  // framing violations (oversized prefix, ...)
-    // Telemetry frames decoded, re-deliveries included (each is counted
-    // before its dedup check; HealthStore::folds() counts the folded ones).
-    uint64_t telemetry_frames = 0;
-    uint64_t telemetry_duplicate = 0;  // telemetry re-deliveries not re-folded
-    uint64_t telemetry_rejected = 0;   // malformed telemetry frames (conn closed)
-    uint64_t frames_skipped = 0;       // unknown types / newer telemetry formats
-  };
-
-  // Bounds of the duplicate-delivery state (see seen_batches_ below).
-  static constexpr size_t kSeenBatchWindow = 1024;
-  static constexpr size_t kMaxTrackedDevices = 1 << 16;
+  using Counters = CollectorCounters;
 
   explicit CollectorServer(CollectorOptions opts = CollectorOptions());
   ~CollectorServer();  // out-of-line: telemetry members are incomplete here
@@ -151,12 +175,13 @@ class CollectorServer {
 
   // ---- Snapshot hooks (serialization lives in fleet/snapshot.*) ----
 
-  // Copies everything a snapshot must capture. O(store); intended for the
-  // Snapshotter cadence, not per batch.
-  CollectorState ExportState() const;
-  // Replaces aggregates, interners, counters, and dedup windows with a
-  // previously exported state (restart recovery). Call before serving.
-  void ImportState(CollectorState state);
+  // The durable state itself, by reference (no copy), with a `state-export`
+  // flight-recorder event: the Snapshotter encodes it in place. Callers that
+  // need a copy take one (`auto state = server.ExportState();`).
+  const CollectorState& ExportState() const;
+  // Moves in a previously exported state (restart recovery), replacing the
+  // whole durable state. Call before serving.
+  void ImportState(CollectorState&& state);
 
   // Flushes acks withheld under CollectorOptions::durable_acks: the
   // Snapshotter calls this right after a snapshot covering every fold so
@@ -186,13 +211,13 @@ class CollectorServer {
   moputil::Status IngestTelemetry(std::span<const uint8_t> payload,
                                   std::vector<uint64_t>* trace_ids_out);
 
-  const Counters& counters() const { return counters_; }
-  const AggregateStore& store() const { return store_; }
-  const HealthStore& health() const { return health_; }
+  // The live durable state, read without a recorder event (FleetView).
+  const CollectorState& state() const { return state_; }
+  const Counters& counters() const { return state_; }
+  const AggregateStore& store() const { return state_.store; }
+  const HealthStore& health() const { return state_.health; }
+  const Interner& apps() const { return state_.apps; }
   const moptel::TraceStore& traces() const { return traces_; }
-  const Interner& apps() const { return apps_; }
-  const Interner& isps() const { return isps_; }
-  const Interner& countries() const { return countries_; }
 
   // Retained raw records (empty unless CollectorOptions::retain_records).
   const mopcrowd::CrowdDataset& dataset() const { return dataset_; }
@@ -204,19 +229,17 @@ class CollectorServer {
   using AppStat = mopcollect::AppStat;
   using IspDnsStat = mopcollect::IspDnsStat;
   std::vector<AppStat> TcpAppStats(size_t min_count = 1) const {
-    return TcpAppStatsOf(store_, apps_, min_count);
+    return TcpAppStatsOf(state_.store, state_.apps, min_count);
   }
   std::vector<IspDnsStat> IspDnsStats(size_t min_count = 1) const {
-    return IspDnsStatsOf(store_, isps_, min_count);
+    return IspDnsStatsOf(state_.store, state_.isps, min_count);
   }
 
  private:
   class Behavior;
 
   CollectorOptions opts_;
-  AggregateStore store_;
-  Interner apps_, isps_, countries_;
-  Counters counters_;
+  CollectorState state_;
   mopcrowd::CrowdDataset dataset_;
   // device_id -> index into dataset_.devices() (retain mode only).
   std::unordered_map<uint32_t, size_t> device_index_;
@@ -231,28 +254,7 @@ class CollectorServer {
   };
   std::vector<PendingAck> pending_acks_;
 
-  // Duplicate-delivery state, bounded on both axes so hostile (device_id,
-  // batch_seq) churn cannot exhaust collector memory: per device only the
-  // most recent kSeenBatchWindow sequence numbers are remembered (uploaders
-  // deliver sequentially, so a re-delivery is always recent), and at most
-  // kMaxTrackedDevices devices are tracked (arbitrary eviction beyond that;
-  // an evicted device's re-delivery degrades to a double-count, not OOM).
-  struct SeenBatches {
-    std::unordered_set<uint32_t> set;
-    std::deque<uint32_t> order;  // insertion order for window eviction
-  };
-
-  // True if (device, seq) was already recorded in `map`; records it
-  // otherwise. Shared by the batch and telemetry dedup windows (same bounds,
-  // separate sequence spaces).
-  static bool CheckAndRecord(std::unordered_map<uint32_t, SeenBatches>* map,
-                             uint32_t device, uint32_t seq);
-
-  std::unordered_map<uint32_t, SeenBatches> seen_batches_;
-  std::unordered_map<uint32_t, SeenBatches> seen_telemetry_;
-
-  // Crowd health + forensics plane.
-  HealthStore health_;
+  // Forensics plane.
   moptel::TraceStore traces_;
   // Trace ids whose folds are covered by the next durable snapshot: their
   // kDurable span is stamped when NotifyDurable() flushes the acks.

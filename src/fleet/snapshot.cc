@@ -17,8 +17,8 @@ namespace mopfleet {
 using mopcollect::AggregateEntry;
 using mopcollect::AggregateKey;
 using mopcollect::ByteReader;
-using mopcollect::CollectorServer;
 using mopcollect::CollectorState;
+using mopcollect::DedupWindows;
 
 uint32_t Crc32(std::span<const uint8_t> data) {
   // CRC-32/IEEE, reflected, sliced by 8. Table 0 is the byte-wise table;
@@ -100,6 +100,57 @@ bool ValidId(uint16_t id, const mopcollect::Interner& table) {
   return id == mopcollect::kNoneId || id < table.size();
 }
 
+// One dedup section (batch or telemetry): u32 device_count, then per device
+// u32 device_id, u32 seq_count, seq_count x u32 (oldest first), in device
+// order.
+void EncodeDedupWindows(std::vector<uint8_t>* out, const DedupWindows& windows) {
+  mopcollect::PutU32(out, static_cast<uint32_t>(windows.devices().size()));
+  for (const auto& [device, window] : windows.devices()) {
+    mopcollect::PutU32(out, device);
+    mopcollect::PutU32(out, static_cast<uint32_t>(window.order.size()));
+    for (uint32_t seq : window.order) {
+      mopcollect::PutU32(out, seq);
+    }
+  }
+}
+
+// Restores one dedup section through DedupWindows::CheckAndRecord, so the
+// restored windows keep the live bounds. `section` names it in errors. A
+// device listed twice is corrupt: no encoder writes one, and merging the
+// listings would restore a window past kSeenBatchWindow.
+moputil::Status DecodeDedupWindows(ByteReader* r, const char* section, DedupWindows* windows) {
+  auto corrupt = [section](const char* format) {
+    return Corrupt(moputil::StrFormat(format, section).c_str());
+  };
+  uint32_t device_count = 0;
+  if (!r->ReadU32(&device_count)) {
+    return corrupt("truncated %s section");
+  }
+  if (device_count > DedupWindows::kMaxTrackedDevices) {
+    return corrupt("%s device count exceeds limit");
+  }
+  for (uint32_t d = 0; d < device_count; ++d) {
+    uint32_t device = 0, seq_count = 0;
+    if (!r->ReadU32(&device) || !r->ReadU32(&seq_count)) {
+      return corrupt("truncated %s device");
+    }
+    if (seq_count > DedupWindows::kSeenBatchWindow) {
+      return corrupt("%s window exceeds limit");
+    }
+    if (windows->devices().contains(device)) {
+      return corrupt("%s device listed twice");
+    }
+    for (uint32_t i = 0; i < seq_count; ++i) {
+      uint32_t seq = 0;
+      if (!r->ReadU32(&seq)) {
+        return corrupt("truncated %s sequence");
+      }
+      windows->CheckAndRecord(device, seq);
+    }
+  }
+  return moputil::OkStatus();
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
@@ -118,14 +169,7 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   mopcollect::PutU64(&payload, state.records_ingested);
   mopcollect::PutU64(&payload, state.stream_errors);
 
-  mopcollect::PutU32(&payload, static_cast<uint32_t>(state.seen_batches.size()));
-  for (const auto& [device, seqs] : state.seen_batches) {
-    mopcollect::PutU32(&payload, device);
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(seqs.size()));
-    for (uint32_t seq : seqs) {
-      mopcollect::PutU32(&payload, seq);
-    }
-  }
+  EncodeDedupWindows(&payload, state.seen_batches);
 
   // The store is one map; the shard_count field keeps the layout of files
   // written while it had hash shards.
@@ -152,14 +196,7 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   }
 
   // ---- Telemetry dedup, telemetry counters, crowd health ----
-  mopcollect::PutU32(&payload, static_cast<uint32_t>(state.seen_telemetry.size()));
-  for (const auto& [device, seqs] : state.seen_telemetry) {
-    mopcollect::PutU32(&payload, device);
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(seqs.size()));
-    for (uint32_t seq : seqs) {
-      mopcollect::PutU32(&payload, seq);
-    }
-  }
+  EncodeDedupWindows(&payload, state.seen_telemetry);
   mopcollect::PutU64(&payload, state.telemetry_frames);
   mopcollect::PutU64(&payload, state.telemetry_duplicate);
   mopcollect::PutU64(&payload, state.telemetry_rejected);
@@ -274,29 +311,8 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     return Corrupt("truncated counters");
   }
 
-  uint32_t device_count = 0;
-  if (!r.ReadU32(&device_count)) {
-    return Corrupt("truncated dedup section");
-  }
-  if (device_count > CollectorServer::kMaxTrackedDevices) {
-    return Corrupt("dedup device count exceeds limit");
-  }
-  state.seen_batches.reserve(device_count);
-  for (uint32_t d = 0; d < device_count; ++d) {
-    uint32_t device = 0, seq_count = 0;
-    if (!r.ReadU32(&device) || !r.ReadU32(&seq_count)) {
-      return Corrupt("truncated dedup device");
-    }
-    if (seq_count > CollectorServer::kSeenBatchWindow) {
-      return Corrupt("dedup window exceeds limit");
-    }
-    std::vector<uint32_t> seqs(seq_count);
-    for (uint32_t& seq : seqs) {
-      if (!r.ReadU32(&seq)) {
-        return Corrupt("truncated dedup sequence");
-      }
-    }
-    state.seen_batches.emplace_back(device, std::move(seqs));
+  if (auto st = DecodeDedupWindows(&r, "dedup", &state.seen_batches); !st.ok()) {
+    return st;
   }
 
   // Versions 1 and 2 carry the merged flags and P² markers described in
@@ -421,29 +437,8 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
   }
 
   // ---- Sections added in version 2 ----
-  uint32_t telemetry_device_count = 0;
-  if (!r.ReadU32(&telemetry_device_count)) {
-    return Corrupt("truncated telemetry dedup section");
-  }
-  if (telemetry_device_count > CollectorServer::kMaxTrackedDevices) {
-    return Corrupt("telemetry dedup device count exceeds limit");
-  }
-  state.seen_telemetry.reserve(telemetry_device_count);
-  for (uint32_t d = 0; d < telemetry_device_count; ++d) {
-    uint32_t device = 0, seq_count = 0;
-    if (!r.ReadU32(&device) || !r.ReadU32(&seq_count)) {
-      return Corrupt("truncated telemetry dedup device");
-    }
-    if (seq_count > CollectorServer::kSeenBatchWindow) {
-      return Corrupt("telemetry dedup window exceeds limit");
-    }
-    std::vector<uint32_t> seqs(seq_count);
-    for (uint32_t& seq : seqs) {
-      if (!r.ReadU32(&seq)) {
-        return Corrupt("truncated telemetry dedup sequence");
-      }
-    }
-    state.seen_telemetry.emplace_back(device, std::move(seqs));
+  if (auto st = DecodeDedupWindows(&r, "telemetry dedup", &state.seen_telemetry); !st.ok()) {
+    return st;
   }
 
   if (!r.ReadU64(&state.telemetry_frames) || !r.ReadU64(&state.telemetry_duplicate) ||
@@ -630,9 +625,9 @@ void Snapshotter::Stop() {
 }
 
 moputil::Status Snapshotter::SnapshotNow() {
-  // Export and write run atomically w.r.t. the event loop (one callback), so
-  // the durability notification below covers exactly the folds the file
-  // holds — no ack can sneak in between.
+  // Encode (of the live state, by reference) and write run atomically w.r.t.
+  // the event loop (one callback), so the durability notification below
+  // covers exactly the folds the file holds — no ack can sneak in between.
   std::vector<uint8_t> bytes = EncodeSnapshot(server_->ExportState());
   counters_.last_bytes = bytes.size();
   moputil::Status st = WriteBytesAtomic(path_, bytes);

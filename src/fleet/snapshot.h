@@ -15,7 +15,7 @@
 //
 //   payload := app/isp/country string tables        (wire string-table codec)
 //              7 x u64 ingest counters
-//              u32 device_count, then per device:
+//              u32 device_count, then per device (ascending id):
 //                u32 device_id, u32 seq_count, seq_count x u32 (oldest first)
 //              u32 shard_count (written as 1; on load, 0 or past 65,536 is
 //                corrupt and any other value is ignored: the store has no
@@ -58,11 +58,14 @@
 // table or bucket counts beyond their caps, bucket indexes outside the span
 // a sketch's input clamps allow, entry keys no record could carry (an id
 // past its string table, a kind or net type outside the wire's enums), an
-// entry sum no fold could produce (negative or not finite), or internal
+// entry sum no fold could produce (negative or not finite), a batch or
+// telemetry dedup section listing one device twice, or internal
 // inconsistencies (log buckets vs log total, moment count vs log total,
 // rollup counts beyond samples_folded) yield an error Status and no partial
-// state. Writes go to `<path>.tmp` and rename into place, so a crash during
-// a write leaves the previous snapshot intact.
+// state. Dedup windows are restored through DedupWindows::CheckAndRecord, so
+// a restored collector keeps the live window and device bounds. Writes go to
+// `<path>.tmp` and rename into place, so a crash during a write leaves the
+// previous snapshot intact.
 #ifndef MOPEYE_FLEET_SNAPSHOT_H_
 #define MOPEYE_FLEET_SNAPSHOT_H_
 
@@ -98,9 +101,10 @@ uint32_t Crc32(std::span<const uint8_t> data);
 
 // ---- In-memory codec ----
 
-// Serializes a collector state into the framed snapshot byte layout above.
-// Canonical: entries and dedup devices are emitted in sorted order, so equal
-// states produce equal bytes.
+// Serializes a collector state into the framed snapshot byte layout above,
+// reading it in place. Canonical: entries are emitted sorted by key and
+// dedup devices in their windows' id order, so equal states produce equal
+// bytes.
 std::vector<uint8_t> EncodeSnapshot(const mopcollect::CollectorState& state);
 
 // Decodes a complete snapshot file image. All-or-nothing.
@@ -115,8 +119,9 @@ moputil::Result<mopcollect::CollectorState> ReadSnapshotFile(const std::string& 
 
 // ---- Periodic snapshot policy ----
 //
-// Owns the collector's snapshot cadence: every `interval` it exports the
-// collector state, writes the snapshot file atomically, and then calls
+// Owns the collector's snapshot cadence: every `interval` it encodes the
+// collector's live state by reference (CollectorServer::ExportState(), no
+// copy), writes the snapshot file atomically, and then calls
 // CollectorServer::NotifyDurable() so acks withheld under durable_acks flush
 // — the write *is* the durability point. `loop` and `server` must outlive
 // the snapshotter.

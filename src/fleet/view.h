@@ -1,8 +1,10 @@
 // FleetView: the merged query plane over a collector fleet.
 //
-// Sources are live CollectorServers (attached by pointer, re-read on every
-// Refresh) and/or collector states of collectors that are not running here
-// (e.g. decoded snapshot files). Refresh() rebuilds one merged
+// Every source is a const mopcollect::CollectorState: a live
+// CollectorServer's own state (CollectorServer::state(), read by reference
+// and re-read on every Refresh) or the state of a collector not running
+// here (e.g. a decoded snapshot file, owned by the view). Refresh() runs one
+// merge loop over the sources in attach order and rebuilds one merged
 // AggregateStore: it walks each source's entry map in place, remaps the
 // per-collector interner ids of every key onto the view's own id spaces, and
 // folds entries with the same remapped key together — sums add and the
@@ -14,6 +16,7 @@
 #define MOPEYE_FLEET_VIEW_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "collector/aggregate_store.h"
@@ -30,7 +33,7 @@ class FleetView {
   // every Refresh().
   void AttachState(mopcollect::CollectorState state);
 
-  size_t source_count() const { return live_.size() + offline_.size(); }
+  size_t source_count() const { return sources_.size(); }
 
   // Rebuilds the merged store + interners from all sources.
   void Refresh();
@@ -61,11 +64,10 @@ class FleetView {
   }
 
  private:
-  void MergeSource(const mopcollect::AggregateStore& store, const mopcollect::Interner& apps,
-                   const mopcollect::Interner& isps, const mopcollect::Interner& countries);
-
-  std::vector<const mopcollect::CollectorServer*> live_;
-  std::vector<mopcollect::CollectorState> offline_;
+  // Attach order; live sources point into their server, offline ones into
+  // owned_ (heap-held, so the pointers stay valid as owned_ grows).
+  std::vector<const mopcollect::CollectorState*> sources_;
+  std::vector<std::unique_ptr<const mopcollect::CollectorState>> owned_;
   mopcollect::AggregateStore merged_;
   mopcollect::Interner apps_, isps_, countries_;
   mopcollect::HealthStore health_;

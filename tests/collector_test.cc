@@ -1,7 +1,7 @@
 // Collector subsystem tests: wire codec round-trip and rejection, the
 // device-side uploader's size/age batching and retry/backoff, the
-// aggregate store, and the full socket path from N devices into one
-// collector process.
+// aggregate store, the dedup windows' bounds, and the full socket path from
+// N devices into one collector process.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -556,7 +556,7 @@ TEST(CollectorServer, DedupWindowEvictsOldSequences) {
     auto frame = frame_for_seq(seq);
     return server.IngestPayload({frame.data() + 4, frame.size() - 4});
   };
-  const uint32_t n = static_cast<uint32_t>(mopcollect::CollectorServer::kSeenBatchWindow) + 1;
+  const uint32_t n = static_cast<uint32_t>(mopcollect::DedupWindows::kSeenBatchWindow) + 1;
   for (uint32_t seq = 0; seq < n; ++seq) {
     ASSERT_TRUE(ingest(seq).ok());
   }
@@ -568,6 +568,48 @@ TEST(CollectorServer, DedupWindowEvictsOldSequences) {
   // ...while a recent sequence still is.
   ASSERT_TRUE(ingest(n - 1).ok());
   EXPECT_EQ(server.counters().batches_duplicate, 1u);
+}
+
+// Both bounds of the dedup windows, on the type itself: a device's window
+// keeps its newest kSeenBatchWindow seqs...
+TEST(DedupWindows, WindowEvictsTheOldestSeq) {
+  mopcollect::DedupWindows windows;
+  const uint32_t n = static_cast<uint32_t>(mopcollect::DedupWindows::kSeenBatchWindow) + 1;
+  for (uint32_t seq = 0; seq < n; ++seq) {
+    ASSERT_FALSE(windows.CheckAndRecord(/*device=*/1, seq));
+  }
+  const auto& window = windows.devices().at(1);
+  EXPECT_EQ(window.order.size(), mopcollect::DedupWindows::kSeenBatchWindow);
+  EXPECT_EQ(window.set.size(), mopcollect::DedupWindows::kSeenBatchWindow);
+  EXPECT_EQ(window.order.front(), 1u);
+  EXPECT_FALSE(window.set.contains(0));
+  EXPECT_TRUE(windows.CheckAndRecord(1, 1));      // the oldest seq kept
+  EXPECT_TRUE(windows.CheckAndRecord(1, n - 1));  // the newest
+}
+
+// ...and past kMaxTrackedDevices devices a new device evicts exactly one
+// other, the lowest id.
+TEST(DedupWindows, DeviceCapEvictsTheLowestId) {
+  mopcollect::DedupWindows windows;
+  const uint32_t cap = static_cast<uint32_t>(mopcollect::DedupWindows::kMaxTrackedDevices);
+  for (uint32_t device = 1; device <= cap; ++device) {
+    ASSERT_FALSE(windows.CheckAndRecord(device, 0));
+  }
+  ASSERT_EQ(windows.devices().size(), cap);
+  EXPECT_FALSE(windows.CheckAndRecord(cap + 1, 0));
+  EXPECT_EQ(windows.devices().size(), cap);
+  EXPECT_FALSE(windows.devices().contains(1));
+  EXPECT_TRUE(windows.devices().contains(2));
+  EXPECT_TRUE(windows.devices().contains(cap + 1));
+  // A tracked device evicts nothing.
+  EXPECT_TRUE(windows.CheckAndRecord(2, 0));
+  EXPECT_EQ(windows.devices().size(), cap);
+  // The evicted device's re-delivery is a double count, not OOM, and its
+  // return evicts the lowest other id.
+  EXPECT_FALSE(windows.CheckAndRecord(1, 0));
+  EXPECT_EQ(windows.devices().size(), cap);
+  EXPECT_TRUE(windows.devices().contains(1));
+  EXPECT_FALSE(windows.devices().contains(2));
 }
 
 // The telemetry dedup window is separate from the batch window but has the

@@ -2,9 +2,10 @@
 // query-time merging against generated records, snapshot codec durability
 // (round-trip equality, truncation/corruption rejection, golden version-1
 // to version-3 files, legacy rollup entries dropped on load, hostile bucket
-// indexes, entry keys and sums, atomic file replacement), restart recovery
-// with dedup preserved, uploader failover with possibly-delivered pinning,
-// and the merged FleetView query plane.
+// indexes, entry keys, sums and duplicate dedup devices, atomic file
+// replacement), the Snapshotter writing exactly the encoded live state,
+// restart recovery with dedup preserved, uploader failover with
+// possibly-delivered pinning, and the merged FleetView query plane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "net/net_context.h"
 #include "net/server.h"
 #include "sim/event_loop.h"
+#include "telemetry/flight_recorder.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -422,6 +425,18 @@ void PatchU32(std::vector<uint8_t>* image, size_t at, uint32_t v) {
   put(image->size() - 4, mopfleet::Crc32({image->data() + 7, image->size() - 11}));
 }
 
+// Dedup windows as (device, seqs oldest first) pairs, in device order: the
+// layout of a snapshot's dedup section.
+using DeviceSeqs = std::vector<std::pair<uint32_t, std::vector<uint32_t>>>;
+
+DeviceSeqs Listed(const mopcollect::DedupWindows& windows) {
+  DeviceSeqs out;
+  for (const auto& [device, window] : windows.devices()) {
+    out.emplace_back(device, window.order);
+  }
+  return out;
+}
+
 struct GoldenEntry {
   mopcollect::AggregateKey key;
   uint64_t count;
@@ -444,8 +459,7 @@ void ExpectGoldenAggregates(const mopcollect::CollectorState& got) {
   EXPECT_EQ(got.connections + got.frames + got.batches_rejected + got.batches_duplicate +
                 got.stream_errors,
             0u);
-  EXPECT_EQ(got.seen_batches,
-            (std::vector<std::pair<uint32_t, std::vector<uint32_t>>>{{7, {41, 42}}}));
+  EXPECT_EQ(Listed(got.seen_batches), (DeviceSeqs{{7, {41, 42}}}));
   EXPECT_EQ(got.store.samples_folded(), 4u);
   EXPECT_EQ(got.store.key_count(), std::size(kEntries));
   for (const GoldenEntry& want : kEntries) {
@@ -489,7 +503,7 @@ TEST(Snapshot, GoldenVersion1DecodesToRecordedValues) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectGoldenAggregates(decoded.value());
   // A version-1 collector had no health state: it restores empty.
-  EXPECT_TRUE(decoded.value().seen_telemetry.empty());
+  EXPECT_TRUE(decoded.value().seen_telemetry.devices().empty());
   EXPECT_EQ(decoded.value().telemetry_frames, 0u);
   EXPECT_EQ(decoded.value().health, mopcollect::HealthStore());
 }
@@ -497,8 +511,7 @@ TEST(Snapshot, GoldenVersion1DecodesToRecordedValues) {
 // The telemetry state of the version-2 image (and of the version-3 image
 // written from it).
 void ExpectGoldenHealth(const mopcollect::CollectorState& got) {
-  EXPECT_EQ(got.seen_telemetry,
-            (std::vector<std::pair<uint32_t, std::vector<uint32_t>>>{{7, {43}}}));
+  EXPECT_EQ(Listed(got.seen_telemetry), (DeviceSeqs{{7, {43}}}));
   EXPECT_EQ(got.telemetry_frames, 1u);
   EXPECT_EQ(got.telemetry_duplicate + got.telemetry_rejected + got.frames_skipped, 0u);
 
@@ -710,6 +723,54 @@ TEST(Snapshot, RejectsRollupKeysInVersion4AndImpossibleSums) {
   auto from_sharded = mopfleet::DecodeSnapshot(sharded);
   ASSERT_TRUE(from_sharded.ok()) << from_sharded.status().ToString();
   EXPECT_EQ(mopfleet::EncodeSnapshot(from_sharded.value()), v4);
+}
+
+// A batch or telemetry dedup section that lists one device twice is
+// corrupt: no encoder writes one, and restoring both listings would merge
+// them into one window twice kSeenBatchWindow long. The image holds full
+// windows for devices 7 (seqs 0 to 1,023) and 8 (seqs 1,024 to 2,047) in
+// both sections; each forgery renames the second listing of one section to
+// device 7.
+TEST(Snapshot, RejectsDedupSectionsListingADeviceTwice) {
+  const uint32_t window = static_cast<uint32_t>(mopcollect::DedupWindows::kSeenBatchWindow);
+  mopcollect::CollectorServer server;
+  for (uint32_t seq = 0; seq < 2 * window; ++seq) {
+    const uint32_t device = seq < window ? 7 : 8;
+    IngestRecords(&server, device, seq, "App", {10});
+    IngestHealth(&server, device, seq, /*counter=*/1, /*gauge=*/500);
+  }
+  const auto image = mopfleet::EncodeSnapshot(server.ExportState());
+  auto restored = mopfleet::DecodeSnapshot(image);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().seen_batches.devices().at(7).order.size(), window);
+
+  // Device 8's listing (u32 id 8, u32 seq count) opens once per section;
+  // the seqs are consecutive, so no pair of them reads (8, 1,024).
+  std::vector<size_t> listings;
+  for (size_t at = 7; at + 8 <= image.size() - 4; ++at) {
+    if (U32At(image, at) == 8 && U32At(image, at + 4) == window) {
+      listings.push_back(at);
+    }
+  }
+  ASSERT_EQ(listings.size(), 2u);
+
+  struct Patch {
+    const char* what;
+    size_t at;
+    const char* error;
+  };
+  const Patch patches[] = {
+      {"batch dedup section", listings[0], "snapshot: dedup device listed twice"},
+      {"telemetry dedup section", listings[1], "telemetry dedup device listed twice"},
+  };
+  for (const Patch& p : patches) {
+    auto forged = image;
+    PatchU32(&forged, p.at, 7);
+    auto r = mopfleet::DecodeSnapshot(forged);
+    ASSERT_FALSE(r.ok()) << p.what;
+    EXPECT_NE(r.status().message().find(p.error), std::string::npos)
+        << p.what << ": " << r.status().ToString();
+  }
 }
 
 // Encoders before version 4 also wrote, per fine key, a per-app and a
@@ -1085,6 +1146,59 @@ TEST(UploaderFailover, PossiblyDeliveredFramesStayPinnedToTheirCollector) {
   EXPECT_EQ(up.pending_records(), 0u);
   up.Stop();
   snap.Stop();
+  std::remove(path.c_str());
+}
+
+// ---- Snapshotter ----
+
+// The Snapshotter encodes the collector's live state in place: the file it
+// writes is byte for byte EncodeSnapshot(ExportState()), which decodes and
+// re-encodes byte-identically, and the snapshot leaves one state-export and
+// one durable-ack-flush event in the collector's flight recorder.
+TEST(Snapshotter, WritesTheLiveStateAndFlushesThePendingAck) {
+  TwoCollectorFixture f;
+  mopcollect::CollectorServer server({.durable_acks = true});
+  server.RegisterWith(&f.farm, f.primary_addr);
+  server.ServeMetrics(&f.farm, SocketAddr{IpAddr(10, 99, 0, 1), 9100}, &f.loop);
+  ASSERT_NE(server.flight_recorder(), nullptr);
+  auto events = [&server](std::string_view what) {
+    auto held = server.flight_recorder()->LaneEvents(0);
+    return std::count_if(held.begin(), held.end(),
+                         [what](const moptel::TraceEvent& e) { return e.what == what; });
+  };
+
+  mopeye::MeasurementStore store;
+  mopcollect::Uploader up(&f.ctx, &store, f.primary_addr, /*device_id=*/5, f.FastPolicy());
+  up.Start();
+  for (int i = 0; i < 5; ++i) {
+    store.Add(MakeMeasurement("App", "a.com", 10.0 + i, f.loop.Now()));
+  }
+  f.loop.RunFor(Seconds(3));  // one batch folded, its ack withheld
+  ASSERT_EQ(server.counters().batches_ok, 1u);
+  ASSERT_EQ(server.pending_ack_count(), 1u);
+  const auto exports = events("state-export");
+  const auto flushes = events("durable-ack-flush");
+
+  std::string path = TmpPath("snapshotter");
+  mopfleet::Snapshotter snap(&f.loop, &server, path, Seconds(60));
+  ASSERT_TRUE(snap.SnapshotNow().ok());
+  EXPECT_EQ(server.pending_ack_count(), 0u);
+  EXPECT_EQ(events("state-export"), exports + 1);
+  EXPECT_EQ(events("durable-ack-flush"), flushes + 1);
+
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> written{std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>()};
+  EXPECT_EQ(written.size(), snap.counters().last_bytes);
+  EXPECT_EQ(written, mopfleet::EncodeSnapshot(server.ExportState()));
+  auto decoded = mopfleet::DecodeSnapshot(written);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(mopfleet::EncodeSnapshot(decoded.value()), written);
+
+  // The flushed ack completes the upload.
+  f.loop.RunFor(Seconds(2));
+  EXPECT_EQ(up.counters().records_sent, 5u);
+  up.Stop();
   std::remove(path.c_str());
 }
 
